@@ -20,7 +20,7 @@ import numpy as np
 
 from . import config
 from .errors import DegreeOverflow, DimensionMismatch, NotInAlgebra
-from .poly import Poly, poly_from_json
+from .poly import Poly, eval_at_unit_roots, poly_from_json
 
 __all__ = [
     "CycleElement",
@@ -327,15 +327,7 @@ def norm(a: CycleElement, grid: int = config.NORM_GRID) -> float:
     A dense lower bound for the sup norm of the realized matrix function; the
     default grid has 512 points.
     """
-    if grid < 1:
-        raise ValueError("grid size must be >= 1")
-    tensor = a.realized_coeffs()
-    n, L = a.n, tensor.shape[2]
-    folded = np.zeros((n, n, grid), dtype=complex)
-    idx = np.arange(L) % grid
-    np.add.at(folded, (slice(None), slice(None), idx), tensor)
-    # folding exponents mod grid is exact on the grid's roots of unity
-    values = np.fft.ifft(folded, axis=2) * grid
+    values = eval_at_unit_roots(a.realized_coeffs(), grid)
     stacked = np.moveaxis(values, 2, 0)
     return float(np.linalg.svd(stacked, compute_uv=False).max())
 

@@ -114,6 +114,15 @@ def _cmd_eval(args) -> tuple[int, dict]:
     }
 
 
+def _add_kernel_witness(report: dict, D: GenDerivation, seed: int) -> None:
+    """Certify non-inner data by its largest value on kernel samples."""
+    samples = kernel_sample(D.point, D.n, seed=seed, count=20)
+    kv = kernel_vanishing_test(D.apply, samples)
+    report["kernel_witness_norm"] = kv.max_norm
+    if kv.witness is not None:
+        report["kernel_witness"] = kv.witness.to_json()
+
+
 def _cmd_inner_check(args) -> tuple[int, dict]:
     doc = _load_doc(args.input)
     D = gen_derivation_from_json(doc)
@@ -144,11 +153,7 @@ def _cmd_inner_check(args) -> tuple[int, dict]:
             return 0, report
         report["verdict"] = "not_inner"
         report["residual"] = top
-        samples = kernel_sample(D.point, D.n, seed=args.seed, count=20)
-        kv = kernel_vanishing_test(D.apply, samples)
-        report["kernel_witness_norm"] = kv.max_norm
-        if kv.witness is not None:
-            report["kernel_witness"] = kv.witness.to_json()
+        _add_kernel_witness(report, D, args.seed)
         return 1, report
     solve = inner_solve(D, tol=tol)
     report["residual"] = solve.residual
@@ -158,12 +163,8 @@ def _cmd_inner_check(args) -> tuple[int, dict]:
         report["normalization"] = solve.normalization
         code = 0
     else:
-        samples = kernel_sample(D.point, D.n, seed=args.seed, count=20)
-        kv = kernel_vanishing_test(D.apply, samples)
         report["verdict"] = "not_inner"
-        report["kernel_witness_norm"] = kv.max_norm
-        if kv.witness is not None:
-            report["kernel_witness"] = kv.witness.to_json()
+        _add_kernel_witness(report, D, args.seed)
         code = 1
     if args.split:
         if abs(D.point.value) <= 1e-15:
@@ -394,7 +395,8 @@ def _emit(args, report: dict) -> None:
             )
         text = _rows_to_csv(report["rows"])
     else:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+        text += "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -405,8 +407,8 @@ def _emit(args, report: dict) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.tol_inner is not None and args.tol_inner <= 0:
-        _fail(2, "tol-inner must be positive")
+    if args.tol_inner is not None and not 0 < args.tol_inner < np.inf:
+        _fail(2, "tol-inner must be positive and finite")
         return 2
     try:
         code, payload = _COMMANDS[args.command](args)
@@ -435,6 +437,9 @@ def main(argv: list[str] | None = None) -> int:
     except _InputError as exc:
         _fail(2, str(exc))
         return 2
+    except ValueError as exc:  # a non-finite number reached the report
+        _fail(3, f"internal error: {exc}")
+        return 3
     return code
 
 

@@ -290,27 +290,37 @@ class InnerSolveResult:
 
 def _inner_solve_core(
     phi_list: Sequence[np.ndarray],
-    value_list: Sequence[np.ndarray],
+    value_stacks: Sequence[np.ndarray],
     n: int,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Least squares for phi(g) X - X phi(g) = D(g) over all generators g.
 
-    Returns the minimum-norm solution shifted so X[0, 0] = 0 exactly (the
-    identity is central, so the shift never changes any commutator) and the
+    Each g brings a (K, n, n) stack of values: K right-hand sides sharing
+    one matrix, solved in one call.  Zero rows of the matrix carry no
+    unknown and are dropped; residuals are taken on the full equations, so
+    data in those entries still counts.  Returns the K minimum-norm
+    solutions shifted so X[0, 0] = 0 exactly (the identity is central, so
+    the shift never changes any commutator) and, per right-hand side, the
     worst spectral residual over the generator equations.
     """
     eye = np.eye(n, dtype=complex)
-    blocks = [
-        np.kron(p, eye) - np.kron(eye, p.T) for p in phi_list
-    ]
-    A = np.concatenate(blocks, axis=0)
-    b = np.concatenate([v.ravel() for v in value_list])
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    X = x.reshape(n, n)
-    X = X - X[0, 0] * eye
-    residual = max(
-        _spectral(p @ X - X @ p - v) for p, v in zip(phi_list, value_list)
+    blocks = [np.kron(p, eye) - np.kron(eye, p.T) for p in phi_list]
+    live = [np.any(block != 0, axis=1) for block in blocks]
+    x, *_ = np.linalg.lstsq(
+        np.concatenate([block[k] for block, k in zip(blocks, live)]),
+        np.concatenate(
+            [v.reshape(len(v), -1)[:, k] for v, k in zip(value_stacks, live)],
+            axis=1,
+        ).T,
+        rcond=None,
     )
+    X = x.T.reshape(-1, n, n)
+    X = X - X[:, :1, :1] * eye
+    residual = np.zeros(len(X))
+    for p, v in zip(phi_list, value_stacks):
+        residual = np.maximum(
+            residual, np.linalg.norm(p @ X - X @ p - v, 2, axis=(1, 2))
+        )
     return X, residual
 
 
@@ -327,9 +337,10 @@ def inner_solve(D: GenDerivation, tol: float | None = None) -> InnerSolveResult:
     n = D.n
     phi_e, phi_Z = phi_generator_values(n, D.point.value)
     X, residual = _inner_solve_core(
-        phi_e + phi_Z, list(D.values_e) + list(D.values_Z), n
+        phi_e + phi_Z, [v[None] for v in (*D.values_e, *D.values_Z)], n
     )
-    return InnerSolveResult(D.point, X, residual, residual <= tol, tol)
+    residual = float(residual[0])
+    return InnerSolveResult(D.point, X[0], residual, residual <= tol, tol)
 
 
 @dataclass(frozen=True)
@@ -365,6 +376,16 @@ class ZeroSplit:
     d0_solve: InnerSolveResult
 
 
+def _split_parts(D: GenDerivation) -> tuple[GenDerivation, GenDerivation]:
+    """D's vertex values with zero arrows, and its arrow values alone."""
+    n = D.n
+    zero_vals = tuple(np.zeros((n, n), dtype=complex) for _ in range(n))
+    return (
+        GenDerivation(D.point, D.values_e, zero_vals),
+        GenDerivation(D.point, zero_vals, D.values_Z),
+    )
+
+
 def decompose_at_zero(D: GenDerivation) -> ZeroSplit:
     """Split data at the center into an inner part and an arrow part.
 
@@ -376,10 +397,7 @@ def decompose_at_zero(D: GenDerivation) -> ZeroSplit:
     """
     if not isinstance(D.point, Lambda) or abs(D.point.value) > 1e-15:
         raise ValueError("decomposition is specific to the point lambda = 0")
-    n = D.n
-    zero_vals = tuple(np.zeros((n, n), dtype=complex) for _ in range(n))
-    d0 = GenDerivation(D.point, D.values_e, zero_vals)
-    d1 = GenDerivation(D.point, zero_vals, D.values_Z)
+    d0, d1 = _split_parts(D)
     return ZeroSplit(d0, d1, inner_solve(d0))
 
 
@@ -393,9 +411,7 @@ def decompose_experiment(D: GenDerivation, seed: int = 0) -> dict:
     if not isinstance(D.point, Lambda):
         raise ValueError("experiment needs data at a Lambda point")
     n = D.n
-    zero_vals = tuple(np.zeros((n, n), dtype=complex) for _ in range(n))
-    d0 = GenDerivation(D.point, D.values_e, zero_vals)
-    d1 = GenDerivation(D.point, zero_vals, D.values_Z)
+    d0, d1 = _split_parts(D)
     d0_solve = inner_solve(d0)
     d1_solve = inner_solve(d1)
     return {
@@ -465,7 +481,7 @@ def boundary_approx_identity(
     default grid size is prime so it cannot phase-lock with the k-th power
     pattern and under-read the norm.
     """
-    if abs(abs(complex(lam)) - 1.0) > 1e-12:
+    if not abs(abs(complex(lam)) - 1.0) <= 1e-12:  # also rejects NaN
         raise ValueError("approximate identity lives over boundary points")
     if k < 1:
         raise ValueError("index k must be >= 1")

@@ -33,6 +33,18 @@ class DegreeOverflow(CycleAlgebraError, ValueError):
         super().__init__(f"entry degree {degree} exceeds cap {cap}")
 
 
+class GridTooSmall(CycleAlgebraError, ValueError):
+    """A boundary grid has too few points to resolve the data's degree."""
+
+    def __init__(self, m: int, needed: int):
+        self.m = m
+        self.needed = needed
+        super().__init__(
+            f"a grid of {m} points aliases the data; the smallest grid that "
+            f"resolves it has {needed} points"
+        )
+
+
 class NotInAlgebra(CycleAlgebraError, ValueError):
     """A realized matrix has support off the cyclic exponent pattern."""
 

@@ -195,22 +195,26 @@ def monomial(k: int, coeff: complex = 1.0) -> Poly:
 
 
 def poly_from_json(data: Sequence[Sequence[float]]) -> Poly:
-    return Poly([complex(re, im) for re, im in data])
+    c = np.array([complex(re, im) for re, im in data], dtype=complex)
+    if not np.isfinite(c).all():
+        raise ValueError("polynomial coefficients must be finite")
+    return Poly(c)
 
 
 def eval_at_unit_roots(coeffs, m: int) -> np.ndarray:
-    """Values of the polynomial at exp(2*pi*i*t/m) for t = 0..m-1.
+    """Values of polynomials at exp(2*pi*i*t/m) for t = 0..m-1.
 
-    Exact for any degree: exponents are folded modulo m before the transform,
+    Coefficients run along the last axis of ``coeffs``, which may carry any
+    leading axes; the values replace that axis by the m grid points.  Exact
+    for any degree: exponents are folded modulo m before the transform,
     which matches evaluation because the grid points are m-th roots of unity.
     """
     if m < 1:
         raise ValueError("grid size must be >= 1")
-    c = np.asarray(coeffs, dtype=complex).ravel()
-    folded = np.zeros(m, dtype=complex)
-    if c.size:
-        np.add.at(folded, np.arange(c.size) % m, c)
-    return np.fft.ifft(folded) * m
+    c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
+    folded = np.zeros(c.shape[:-1] + (m,), dtype=complex)
+    np.add.at(folded, (..., np.arange(c.shape[-1]) % m), c)
+    return np.fft.ifft(folded, axis=-1) * m
 
 
 def interpolate_roots_of_unity(samples) -> Poly:

@@ -29,8 +29,9 @@ from .algebra import (
     parse_realized,
     zero,
 )
-from .derivations import GenDerivation, _spectral as _spec_norm
-from .errors import DegreeOverflow, DimensionMismatch, NotLocallyInner
+from .derivations import GenDerivation, _inner_solve_core
+from .errors import DegreeOverflow, DimensionMismatch, GridTooSmall
+from .errors import NotLocallyInner
 from .poly import Poly, interpolate_roots_of_unity
 from .representations import (
     Lambda,
@@ -235,9 +236,14 @@ def solve_boundary_field(
 
     The grid has m points, default 4 * n * (cap + 2) where cap is the
     configured degree limit; that oversamples every entry degree the
-    reconstruction can produce.  Fails fast with NotLocallyInner at the
-    first grid point whose localized data admits no witness within
-    tolerance.
+    reconstruction can produce.  Grids below n * (D.value_degree + 1)
+    points, one more than the data's top z-degree, alias the data (and no
+    witness z-degree exceeds the data's): they raise GridTooSmall.
+
+    On |lambda| = 1 the arrow equations lambda (P X - X P) = b have the
+    least-squares rows of P X - X P = b / lambda, so the grid is one solve
+    of the lambda = 1 system with m right-hand sides.  Raises
+    NotLocallyInner at the first grid point over tolerance.
     """
     tol = config.TOL_INNER if tol is None else tol
     n = D.n
@@ -246,51 +252,22 @@ def solve_boundary_field(
         m = 4 * n * (cap + 2)
     if m < 1:
         raise ValueError("grid size must be >= 1")
-    # phi of the generator values at all grid points at once
-    loc_e = [eval_rep_at_unit_roots(v, m) for v in D.values_e]
-    loc_Z = [eval_rep_at_unit_roots(v, m) for v in D.values_Z]
+    if n * (D.value_degree + 1) > m:
+        raise GridTooSmall(m, n * (D.value_degree + 1))
     roots = np.exp(2j * np.pi * np.arange(m) / m)
-    phi_e, _ = phi_generator_values(n, 0.0)
-    arrow_pattern = []
-    for i in range(n):
-        P = np.zeros((n, n), dtype=complex)
-        P[i, (i + 1) % n] = 1.0
-        arrow_pattern.append(P)
-    # the system is affine in lambda: vertex rows are constant, arrow rows
-    # scale linearly, so the kron blocks are assembled once
-    eye = np.eye(n, dtype=complex)
-    e_rows = np.concatenate(
-        [np.kron(p, eye) - np.kron(eye, p.T) for p in phi_e]
+    loc_Z = [eval_rep_at_unit_roots(v, m) for v in D.values_Z]
+    for loc in loc_Z:
+        loc /= roots[:, None, None]
+    phi_e, phi_Z = phi_generator_values(n, 1.0)
+    X_at, residual = _inner_solve_core(
+        phi_e + phi_Z,
+        [eval_rep_at_unit_roots(v, m) for v in D.values_e] + loc_Z,
+        n,
     )
-    z_rows = np.concatenate(
-        [np.kron(p, eye) - np.kron(eye, p.T) for p in arrow_pattern]
-    )
-    X_at = np.empty((m, n, n), dtype=complex)
-    worst = 0.0
-    for t in range(m):
-        lam = roots[t]
-        A = np.concatenate([e_rows, lam * z_rows])
-        b = np.concatenate(
-            [loc[t].ravel() for loc in loc_e]
-            + [loc[t].ravel() for loc in loc_Z]
-        )
-        x, *_ = np.linalg.lstsq(A, b, rcond=None)
-        X = x.reshape(n, n)
-        X = X - X[0, 0] * eye
-        residual = 0.0
-        for i in range(n):
-            residual = max(
-                residual,
-                _spec_norm(phi_e[i] @ X - X @ phi_e[i] - loc_e[i][t]),
-                _spec_norm(
-                    lam * (arrow_pattern[i] @ X - X @ arrow_pattern[i])
-                    - loc_Z[i][t]
-                ),
-            )
-        if residual > tol:
-            raise NotLocallyInner(complex(lam), residual, tol)
-        worst = max(worst, residual)
-        X_at[t] = X
+    worst = float(residual.max())
+    if worst > tol:
+        t = int(np.argmax(residual > tol))
+        raise NotLocallyInner(complex(roots[t]), float(residual[t]), tol)
     return BoundaryField(n, m, X_at, worst)
 
 

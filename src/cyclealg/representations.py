@@ -19,7 +19,7 @@ import numpy as np
 from . import config
 from .algebra import CycleElement, monomial_elem, mul_elem, random_element
 from .errors import DimensionMismatch
-from .poly import Poly
+from .poly import Poly, eval_at_unit_roots
 
 __all__ = [
     "Lambda",
@@ -51,8 +51,8 @@ class Lambda:
     def __post_init__(self):
         v = complex(self.value)
         object.__setattr__(self, "value", v)
-        if abs(v) > 1.0 + _DISK_SLACK:
-            raise ValueError(f"point {v} lies outside the closed unit disk")
+        if not abs(v) <= 1.0 + _DISK_SLACK:  # also rejects NaN
+            raise ValueError(f"point {v} is not in the closed unit disk")
 
 
 @dataclass(frozen=True)
@@ -102,14 +102,7 @@ def eval_rep_at_unit_roots(a: CycleElement, m: int) -> np.ndarray:
 
     Exact for any entry degree; exponents fold modulo m on the root grid.
     """
-    if m < 1:
-        raise ValueError("grid size must be >= 1")
-    tensor = a.realized_coeffs()
-    n, L = a.n, tensor.shape[2]
-    folded = np.zeros((n, n, m), dtype=complex)
-    idx = np.arange(L) % m
-    np.add.at(folded, (slice(None), slice(None), idx), tensor)
-    values = np.fft.ifft(folded, axis=2) * m
+    values = eval_at_unit_roots(a.realized_coeffs(), m)
     return np.ascontiguousarray(np.moveaxis(values, 2, 0))
 
 
@@ -177,7 +170,9 @@ def kernel_sample(
             k = CycleElement(n, tuple(tuple(r) for r in rows))
         else:
             raise TypeError(f"not a representation point: {point!r}")
-        assert np.max(np.abs(eval_rep(point, k))) <= 1e-12 * (1.0 + scale)
+        off = float(np.max(np.abs(eval_rep(point, k))))
+        if off > 1e-12 * (1.0 + scale):
+            raise RuntimeError(f"kernel sample evaluates to {off:.3e}")
         out.append(k)
     return out
 
@@ -208,12 +203,10 @@ def semisimplicity_certificate(
     m = n * (cap + 2)
     tensor = a.realized_coeffs()
     L = tensor.shape[2]
-    assert L <= m, "grid smaller than realized degree"
+    if L > m:
+        raise RuntimeError(f"grid of {m} points below realized length {L}")
     radius = 0.5
-    scaled = tensor * (radius ** np.arange(L))
-    padded = np.zeros((n, n, m), dtype=complex)
-    padded[:, :, :L] = scaled
-    values = np.fft.ifft(padded, axis=2) * m
+    values = eval_at_unit_roots(tensor * (radius ** np.arange(L)), m)
     flat = np.max(np.abs(values), axis=(0, 1))
     worst = int(np.argmax(flat))
     max_abs = float(flat[worst])
@@ -322,6 +315,8 @@ def matc_to_json(m: np.ndarray) -> list[list[float]]:
 
 def matc_from_json(data) -> np.ndarray:
     flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+    if not np.isfinite(flat).all():
+        raise ValueError("matrix entries must be finite")
     n = int(round(len(flat) ** 0.5))
     if n * n != len(flat):
         raise ValueError("matrix payload length is not a perfect square")

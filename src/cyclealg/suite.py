@@ -89,6 +89,16 @@ def _random_points(rng, count: int) -> list[complex]:
     return pts[:count]
 
 
+def _coeff_gap(p: Poly, q: Poly) -> float:
+    """Largest coefficient difference, on the raw arrays: Poly subtraction
+    would trim differences below EPS_COEFF and hide them."""
+    a, b = p.coeffs, q.coeffs
+    diff = np.zeros(max(len(a), len(b)), complex)
+    diff[: len(a)] += a
+    diff[: len(b)] -= b
+    return float(np.max(np.abs(diff))) if len(diff) else 0.0
+
+
 def _gauge(X: np.ndarray) -> np.ndarray:
     return X - X[0, 0] * np.eye(X.shape[0])
 
@@ -109,12 +119,7 @@ def _check_poly_ring_axioms(cfg: SuiteConfig):
             (p * (q + r), p * q + p * r),
             ((p * q) * r, p * (q * r)),
         ):
-            a, b = lhs.coeffs, rhs.coeffs
-            L = max(len(a), len(b))
-            diff = np.zeros(L, complex)
-            diff[: len(a)] += a
-            diff[: len(b)] -= b
-            worst = max(worst, float(np.max(np.abs(diff))) if L else 0.0)
+            worst = max(worst, _coeff_gap(lhs, rhs))
     return worst, 1e-9, "<=", "assoc/comm/dist over 60 random triples"
 
 
@@ -137,12 +142,7 @@ def _check_poly_divide_root(cfg: SuiteConfig):
         p = _random_poly(rng, 7)
         c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         q = (Poly([-c, 1.0]) * p).divide_root(c)
-        a, b = q.coeffs, p.coeffs
-        L = max(len(a), len(b))
-        diff = np.zeros(L, complex)
-        diff[: len(a)] += a
-        diff[: len(b)] -= b
-        worst = max(worst, float(np.max(np.abs(diff))) if L else 0.0)
+        worst = max(worst, _coeff_gap(q, p))
         try:
             (p + Poly([3.0])).divide_root(c + 2.5)
         except RootMismatch:
@@ -159,12 +159,7 @@ def _check_poly_interpolation(cfg: SuiteConfig):
         m = int(rng.integers(1, 40))
         p = _random_poly(rng, int(rng.integers(0, m)))
         back = interpolate_roots_of_unity(eval_at_unit_roots(p.coeffs, m))
-        a, b = back.coeffs, p.coeffs
-        L = max(len(a), len(b))
-        diff = np.zeros(L, complex)
-        diff[: len(a)] += a
-        diff[: len(b)] -= b
-        worst = max(worst, float(np.max(np.abs(diff))) if L else 0.0)
+        worst = max(worst, _coeff_gap(back, p))
     return worst, 1e-10, "<=", "roots-of-unity interpolation round trip"
 
 
@@ -580,7 +575,7 @@ def run_suite(cfg: SuiteConfig | None = None) -> list[dict]:
             )
             error = None
         except Exception as exc:  # pragma: no cover - defensive surface
-            metric, threshold, comparator = float("nan"), 0.0, "<="
+            metric, threshold, comparator = None, 0.0, "<="
             passed = False
             detail = "check raised"
             error = f"{type(exc).__name__}: {exc}"
@@ -592,7 +587,7 @@ def run_suite(cfg: SuiteConfig | None = None) -> list[dict]:
         row = {
             "name": name,
             "passed": bool(passed),
-            "metric": float(metric),
+            "metric": None if metric is None else float(metric),
             "threshold": float(threshold),
             "comparator": comparator,
             "tolerance_sensitive": tol_sensitive,

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from cyclealg import __version__
-from cyclealg.algebra import gen_Z, gen_e, identity, monomial_elem, zero
+from cyclealg.algebra import (
+    gen_Z,
+    gen_e,
+    identity,
+    monomial_elem,
+    random_element,
+    zero,
+)
 from cyclealg.cli import main
 from cyclealg.derivations import F_point_derivation, GenDerivation
 from cyclealg.reconstruction import GlobalDerivation, solve_boundary_field
@@ -68,6 +75,48 @@ def test_eval_requires_both_keys(tmp_path, capsys):
     code, _, err = run(capsys, ["eval", "--input", path])
     assert code == 2
     assert "point" in err
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("re", float("nan")),
+        ("im", float("inf")),
+        ("element", float("nan")),
+        ("element", float("-inf")),
+    ],
+)
+def test_eval_rejects_non_finite_input(tmp_path, capsys, field, bad):
+    # json reads NaN and Infinity tokens; they must stop at the boundary
+    # instead of flowing into a report that is no longer valid JSON
+    element = gen_e(2, 1).to_json()
+    point = {"kind": "lambda", "re": 0.5, "im": 0.0}
+    if field == "element":
+        element["entries"][0][0][0][1] = bad
+    else:
+        point[field] = bad
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"element": element, "point": point}))
+    code, out, err = run(capsys, ["eval", "--input", str(path)])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["exit_code"] == 2
+
+
+def test_non_finite_derivation_and_lambda_rejected(tmp_path, capsys):
+    doc = inner_data()
+    doc["values_Z"][1][2][0] = float("nan")
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["inner-check", "--input", str(path)])
+    assert code == 2 and "finite" in err
+    path.write_text(
+        json.dumps({"lambda": [float("nan"), 0.0], "n": 1, "k_values": [4]})
+    )
+    code, _, err = run(capsys, ["approx-identity", "--input", str(path)])
+    assert code == 2 and "boundary" in err
+    code, _, err = run(capsys, ["suite", "--tol-inner", "nan"])
+    assert code == 2 and "finite" in err
 
 
 # ----------------------------------------------------------------------
@@ -172,6 +221,26 @@ def test_reconstruct_rejects_non_derivation(tmp_path, capsys):
     code, out, _ = run(capsys, ["reconstruct", "--input", path, "--grid", "16"])
     assert code == 1
     assert json.loads(out)["verdict"] == "not_locally_inner"
+
+
+def test_reconstruct_grid_too_small_is_input_error(tmp_path, capsys):
+    # inner data of entry degree 9 over n = 2 needs 20 grid points; on 16 it
+    # aliases, so the command must refuse it as input instead of reporting
+    # a failed verification
+    rng = np.random.default_rng(0)
+    D = GlobalDerivation.from_commutator(random_element(2, rng, deg=8))
+    needed = 2 * (D.value_degree + 1)
+    assert needed > 16
+    path = write(tmp_path, "in.json", D.to_json())
+    code, out, err = run(capsys, ["reconstruct", "--input", path, "--grid", "16"])
+    assert code == 2
+    assert out == ""
+    assert "GridTooSmall" in err and f"{needed} points" in err
+    code, out, _ = run(
+        capsys, ["reconstruct", "--input", path, "--grid", str(needed)]
+    )
+    assert code == 0
+    assert json.loads(out)["verdict"] == "inner"
 
 
 def test_reconstruct_from_field_payload(tmp_path, capsys):

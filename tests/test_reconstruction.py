@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cyclealg.algebra import (
+    diagonal,
     gen_Z,
     gen_e,
     identity,
@@ -17,9 +18,12 @@ from cyclealg.algebra import (
 from cyclealg.errors import (
     DegreeOverflow,
     DimensionMismatch,
+    GridTooSmall,
     NotInAlgebra,
     NotLocallyInner,
 )
+from cyclealg.derivations import inner_solve
+from cyclealg.poly import Poly
 from cyclealg.reconstruction import (
     BoundaryField,
     GlobalDerivation,
@@ -167,18 +171,61 @@ def test_degree_cap_honored():
 
 
 def test_undersampled_grid_fails_honestly():
-    # a 4-point grid cannot carry a degree-5 witness; the pipeline must
-    # produce either an off-ladder interpolant or a verifiably wrong witness
+    # a 4-point grid cannot carry degree-6 data over n = 2: the solve refuses
+    # before it starts and names the smallest grid that resolves the data
     rng = np.random.default_rng(67)
     X0 = random_element(2, rng, deg=5)
     D = GlobalDerivation.from_commutator(X0)
-    try:
-        field = solve_boundary_field(D, m=4, deg_max=12)
-        witness = reconstruct_witness(field, deg_max=12)
-    except (NotInAlgebra, NotLocallyInner):
-        return
-    report = verify_global_inner(D, witness, trials=20)
-    assert not report.ok
+    needed = 2 * (D.value_degree + 1)
+    with pytest.raises(GridTooSmall) as info:
+        solve_boundary_field(D, m=4, deg_max=12)
+    assert info.value.needed == needed
+    assert f"{needed} points" in str(info.value)
+    # the smallest grid the message names is enough for the whole pipeline
+    field = solve_boundary_field(D, m=needed, deg_max=12)
+    witness = reconstruct_witness(field, deg_max=12)
+    assert verify_global_inner(D, witness, trials=20).ok
+    with pytest.raises(GridTooSmall):
+        solve_boundary_field(D, m=needed - 1, deg_max=12)
+
+
+def test_batched_field_matches_pointwise_inner_solve():
+    # the one multi-right-hand-side solve over the grid gives, at every grid
+    # point, the witness of the per-point solve of the localized data
+    rng = np.random.default_rng(70)
+    for n in (1, 2, 3, 4):
+        D = GlobalDerivation.from_commutator(random_element(n, rng, deg=4))
+        m = 8 * n
+        field = solve_boundary_field(D, m=m, deg_max=8)
+        for t in range(m):
+            point = localize(D, np.exp(2j * np.pi * t / m))
+            np.testing.assert_allclose(
+                field.X_at[t], inner_solve(point).X, rtol=0, atol=1e-12
+            )
+
+
+def test_rejecting_point_is_first_pointwise_failure():
+    # off-form data vanishing at the first grid points: the batched solve
+    # must reject at the first grid point where the per-point solve fails
+    rng = np.random.default_rng(71)
+    for n in (2, 3, 4):
+        m = 6 * n
+        roots = np.exp(2j * np.pi * np.arange(m) / m)
+        bump = Poly([1.0])
+        for t in range(3):
+            bump = bump * Poly([-(roots[t] ** n), 1.0])
+        good = GlobalDerivation.from_commutator(random_element(n, rng, deg=2))
+        off = good.values_e[0] + mul_elem(gen_e(n, 1), diagonal(n, bump))
+        D = GlobalDerivation(n, (off, *good.values_e[1:]), good.values_Z)
+        first = next(
+            t
+            for t in range(m)
+            if not inner_solve(localize(D, roots[t])).consistent
+        )
+        assert first == 3
+        with pytest.raises(NotLocallyInner) as info:
+            solve_boundary_field(D, m=m, deg_max=8)
+        assert abs(info.value.lam - roots[first]) <= 1e-15
 
 
 def test_field_normalization_and_shape():

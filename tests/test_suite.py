@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+from cyclealg import suite
 from cyclealg.suite import SuiteConfig, run_suite, summarize
 
 ROW_FIELDS = {
@@ -25,6 +26,19 @@ def test_default_suite_is_green():
     assert summary["failed"] == []
     assert summary["tolerance_induced"] == []
     assert summary["total"] == len(rows) >= 20
+
+
+def test_raising_check_reports_null_metric(monkeypatch):
+    # a check that raises is a failed row whose metric is null, so the
+    # report stays valid JSON
+    def broken(cfg):
+        raise ZeroDivisionError("boom")
+
+    monkeypatch.setattr(suite, "_CHECKS", [("broken", broken, False)])
+    (row,) = run_suite(SuiteConfig())
+    assert row["metric"] is None and not row["passed"]
+    assert row["error"] == "ZeroDivisionError: boom"
+    json.dumps(row, allow_nan=False)
 
 
 def test_rows_are_well_formed():
