@@ -20,7 +20,7 @@ import numpy as np
 
 from . import config
 from .errors import DegreeOverflow, DimensionMismatch, NotInAlgebra
-from .poly import Poly, eval_at_unit_roots, poly_from_json
+from .poly import Poly, eval_at_unit_roots, int_from_json, poly_from_json
 
 __all__ = [
     "CycleElement",
@@ -358,7 +358,7 @@ def random_element(
 
 def element_from_json(data: dict) -> CycleElement:
     try:
-        n = int(data["n"])
+        n = int_from_json(data["n"], "n", 1)
         rows = tuple(
             tuple(poly_from_json(p) for p in row) for row in data["entries"]
         )

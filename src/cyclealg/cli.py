@@ -39,6 +39,7 @@ from .derivations import (
     kernel_vanishing_test,
 )
 from .errors import CycleAlgebraError, NotInAlgebra, NotLocallyInner
+from .poly import int_from_json
 from .reconstruction import (
     boundary_field_from_json,
     global_derivation_from_json,
@@ -212,7 +213,7 @@ def _cmd_reconstruct(args) -> tuple[int, dict]:
             "tol_inner": exc.tol,
         }
     witness = reconstruct_witness(field, deg_max=args.deg_max)
-    verify = verify_global_inner(D, witness, trials=50, seed=args.seed)
+    verify = verify_global_inner(D, witness)
     verdict = "inner" if verify.ok else "verify_failed"
     return 0 if verify.ok else 1, {
         "verdict": verdict,
@@ -221,7 +222,7 @@ def _cmd_reconstruct(args) -> tuple[int, dict]:
         "witness": witness.to_json(),
         "field_residual": field.max_residual,
         "verify_residual": verify.max_residual,
-        "verify_trials": verify.trials,
+        "verify_equations": verify.equations,
     }
 
 
@@ -248,8 +249,8 @@ def _cmd_approx_identity(args) -> tuple[int, dict]:
     doc = _load_doc(args.input)
     try:
         lam = complex(doc["lambda"][0], doc["lambda"][1])
-        n = int(doc["n"])
-        k_values = [int(k) for k in doc["k_values"]]
+        n = int_from_json(doc["n"], "n", 1)
+        k_values = [int_from_json(k, "k", 1) for k in doc["k_values"]]
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise _InputError(f"malformed approx-identity input: {exc}") from exc
     if not k_values:
@@ -318,7 +319,7 @@ def _cmd_kernel_witness(args) -> tuple[int, dict]:
         raise _InputError("kernel-witness needs a diag0 point")
     element = element_from_json(doc["element"])
     _check_n(args, element.n)
-    budget = int(doc.get("budget", 2))
+    budget = int_from_json(doc.get("budget", 2), "budget", 0)
     result = kernel_square_witness(point, element, budget=budget)
     report = {
         "point": point_to_json(point),

@@ -10,6 +10,7 @@ polynomial is the empty coefficient vector and ``degree`` of zero is -1.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -199,6 +200,21 @@ def poly_from_json(data: Sequence[Sequence[float]]) -> Poly:
     if not np.isfinite(c).all():
         raise ValueError("polynomial coefficients must be finite")
     return Poly(c)
+
+
+def int_from_json(value, name: str, minimum: int) -> int:
+    """A whole number read from JSON, at least ``minimum``.
+
+    Integral floats such as 2.0 are accepted; fractions, non-finite numbers,
+    booleans and strings are rejected instead of truncated.
+    """
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 def eval_at_unit_roots(coeffs, m: int) -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 from . import config
 from .algebra import CycleElement, monomial_elem, mul_elem, random_element
 from .errors import DimensionMismatch
-from .poly import Poly, eval_at_unit_roots
+from .poly import Poly, eval_at_unit_roots, int_from_json
 
 __all__ = [
     "Lambda",
@@ -304,7 +304,7 @@ def point_from_json(data: dict) -> RepPoint:
     if kind == "lambda":
         return Lambda(complex(float(data["re"]), float(data.get("im", 0.0))))
     if kind == "diag0":
-        return DiagZero(int(data["i"]))
+        return DiagZero(int_from_json(data["i"], "i", 1))
     raise ValueError(f"unknown representation point kind: {kind!r}")
 
 

@@ -476,9 +476,7 @@ def _check_reconstruction(cfg: SuiteConfig):
                 D, deg_max=6, tol=cfg.tol_inner
             )
             X = reconstruct_witness(field, deg_max=cfg.deg_max)
-            rep = verify_global_inner(
-                D, X, trials=25, seed=cfg.seed, norm_grid=cfg.grid
-            )
+            rep = verify_global_inner(D, X, norm_grid=cfg.grid)
             worst = max(worst, rep.max_residual)
             if n == 1 and not X.is_zero:
                 return 1.0, 1e-8, "<=", "single-vertex witness not central"

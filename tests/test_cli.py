@@ -252,6 +252,40 @@ def test_reconstruct_from_field_payload(tmp_path, capsys):
     assert json.loads(out)["source"] == "field"
 
 
+def test_reconstruct_verifies_generator_equations(tmp_path, capsys):
+    # the verification is the 2n generator equations, so it reports their
+    # count and no longer depends on --seed
+    rng = np.random.default_rng(3)
+    doc = GlobalDerivation.from_commutator(random_element(3, rng, deg=3))
+    path = write(tmp_path, "in.json", doc.to_json())
+    reports = []
+    for seed in ("0", "9"):
+        code, out, _ = run(
+            capsys, ["reconstruct", "--input", path, "--seed", seed]
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["verify_equations"] == 6
+        del report["config"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_reconstruct_field_rejects_non_finite_residual(tmp_path, capsys, bad):
+    D = GlobalDerivation.from_commutator(gen_Z(2, 1))
+    text = json.dumps(solve_boundary_field(D, m=16, deg_max=4).to_json())
+    doc = json.loads(text)
+    doc["max_residual"] = float(bad.replace("Infinity", "inf"))
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(doc))
+    assert bad in path.read_text()
+    code, out, err = run(capsys, ["reconstruct", "--input", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "max_residual must be finite" in err
+
+
 def test_reconstruct_corrupted_field_names_entry(tmp_path, capsys):
     D = GlobalDerivation.from_commutator(gen_Z(2, 1))
     field = solve_boundary_field(D, m=16, deg_max=4)
@@ -303,6 +337,16 @@ def test_approx_identity_command(tmp_path, capsys):
     worsts = [row["worst_residual"] for row in report["rows"]]
     assert worsts == sorted(worsts, reverse=True)
     assert worsts[-1] == pytest.approx(0.151044, abs=1e-4)
+
+
+@pytest.mark.parametrize("k_values", [[4, 2.5], [0], [-3], [4, "16"]])
+def test_approx_identity_rejects_bad_k(tmp_path, capsys, k_values):
+    doc = {"lambda": [1.0, 0.0], "n": 2, "k_values": k_values}
+    path = write(tmp_path, "in.json", doc)
+    code, out, err = run(capsys, ["approx-identity", "--input", path])
+    assert code == 2
+    assert out == ""
+    assert "malformed approx-identity input: k must be" in err
 
 
 def test_approx_identity_rejects_interior_point(tmp_path, capsys):
@@ -364,6 +408,34 @@ def test_kernel_witness_verdicts(tmp_path, capsys):
     )
     assert code == 1
     assert json.loads(out)["verdict"] == "failure"
+
+
+@pytest.mark.parametrize("budget", [-1, 2.7, "2", True, float("inf")])
+def test_kernel_witness_rejects_bad_budget(tmp_path, capsys, budget):
+    doc = {
+        "point": {"kind": "diag0", "i": 1},
+        "element": monomial_elem(2, 1, 2, 0).to_json(),
+        "budget": budget,
+    }
+    code, out, err = run(
+        capsys, ["kernel-witness", "--input", write(tmp_path, "a.json", doc)]
+    )
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
+
+
+def test_kernel_witness_accepts_integral_float_budget(tmp_path, capsys):
+    doc = {
+        "point": {"kind": "diag0", "i": 1},
+        "element": monomial_elem(2, 1, 2, 0).to_json(),
+        "budget": 2.0,
+    }
+    code, out, _ = run(
+        capsys, ["kernel-witness", "--input", write(tmp_path, "a.json", doc)]
+    )
+    assert code == 0
+    assert json.loads(out)["budget"] == 2
 
 
 def test_kernel_witness_needs_diag0_point(tmp_path, capsys):
