@@ -1,0 +1,175 @@
+"""Per-layer timings of the point-derivation path, one column per checkout.
+
+    python bench/layers.py --column parent=../parent/src --column change=src \
+        --out BENCH_5.json
+
+Each ``--column LABEL=SRC`` imports ``cyclealg`` from the directory SRC in
+a fresh interpreter (BLAS pinned to one thread) and times, at n = 1, 2, 4
+and 6 on fixed seeded inputs:
+
+- ``GenDerivation.apply`` and ``eval_rep`` at an interior Lambda point on a
+  product of two degree-6 elements (the element ``check_leibniz`` feeds
+  them),
+- ``check_leibniz`` with 40 trials on commutator data,
+- ``random_element(deg=6, normalize=True)``,
+- ``mul_elem`` of two degree-6 elements.
+
+Within one interpreter a timing is the median over 7 repeats of the
+per-call time; each repeat runs as many calls as ``timeit`` needs to last at
+least 0.2 s.  The columns take turns, in alternating order, for 3 rounds,
+so a drift in the host's speed reaches every column alike; the reported
+timing is the median of the 3 rounds.  All columns run on the machine
+recorded in the output.  With no ``--column`` the checkout's own ``src`` is
+timed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+SIZES = (1, 2, 4, 6)
+REPEATS = 7
+ROUNDS = 3
+DEG = 6
+POINT = 0.45 - 0.3j
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def measure(src: str) -> dict:
+    """Median per-call seconds of each layer at each n, imported from src."""
+    sys.path.insert(0, str(Path(src).resolve()))
+    import timeit
+
+    import numpy as np
+
+    from cyclealg.algebra import mul_elem, random_element
+    from cyclealg.derivations import GenDerivation, check_leibniz
+    from cyclealg.representations import Lambda, eval_rep
+
+    def median_call(fn) -> float:
+        timer = timeit.Timer(fn)
+        number, _ = timer.autorange()
+        number = max(number, 1)
+        runs = timer.repeat(repeat=REPEATS, number=number)
+        return statistics.median(runs) / number
+
+    out: dict[str, dict[str, float]] = {}
+    point = Lambda(POINT)
+    for n in SIZES:
+        rng = np.random.default_rng(500 + n)
+        X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        D = GenDerivation.from_commutator(point, X, n)
+        a = random_element(n, rng, deg=DEG, normalize=True)
+        b = random_element(n, rng, deg=DEG, normalize=True)
+        ab = mul_elem(a, b, deg_max=2 * DEG + 2)
+        cases = {
+            "GenDerivation.apply": lambda: D.apply(ab),
+            "eval_rep": lambda: eval_rep(point, ab),
+            "check_leibniz(trials=40)": lambda: check_leibniz(
+                D.apply, point, n, trials=40, seed=1, deg=DEG
+            ),
+            "random_element(normalize=True)": lambda: random_element(
+                n, rng, deg=DEG, normalize=True
+            ),
+            "mul_elem": lambda: mul_elem(a, b, deg_max=2 * DEG + 2),
+        }
+        for name, fn in cases.items():
+            out.setdefault(name, {})[f"n{n}"] = median_call(fn)
+    return out
+
+
+def machine() -> dict:
+    import numpy as np
+
+    model = platform.processor()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "cpu": model,
+        "nproc": os.cpu_count(),
+        "system": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--column",
+        action="append",
+        default=[],
+        metavar="LABEL=SRC",
+        help="label and source directory of one column (repeatable)",
+    )
+    parser.add_argument("--out", default=None, help="write JSON here")
+    parser.add_argument("--measure", default=None, help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.measure is not None:
+        json.dump(measure(args.measure), sys.stdout)
+        return 0
+
+    own_src = Path(__file__).resolve().parent.parent / "src"
+    columns = args.column or [f"change={own_src}"]
+    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+    env.pop("PYTHONPATH", None)
+    for column in columns:
+        _, sep, src = column.partition("=")
+        if not sep or not Path(src, "cyclealg").is_dir():
+            parser.error(f"--column {column!r}: want LABEL=SRC, SRC/cyclealg")
+    runs: dict[str, dict[str, dict[str, list[float]]]] = {}
+    for turn in range(ROUNDS):
+        for column in columns if turn % 2 == 0 else columns[::-1]:
+            label, _, src = column.partition("=")
+            done = subprocess.run(
+                [sys.executable, __file__, "--measure", src],
+                env=env,
+                check=True,
+                capture_output=True,
+                text=True,
+            )
+            for name, by_n in json.loads(done.stdout).items():
+                for size, seconds in by_n.items():
+                    row = runs.setdefault(name, {}).setdefault(size, {})
+                    row.setdefault(label, []).append(seconds)
+    layers = {
+        name: {
+            size: {label: statistics.median(v) for label, v in row.items()}
+            for size, row in by_n.items()
+        }
+        for name, by_n in runs.items()
+    }
+    report = {
+        "machine": machine(),
+        "method": (
+            f"median over {ROUNDS} alternating rounds of the median of "
+            f"{REPEATS} repeats of the per-call time, each repeat at least "
+            "0.2 s of calls; BLAS pinned to one thread; one fresh "
+            "interpreter per column and round"
+        ),
+        "unit": "s per call",
+        "columns": [column.partition("=")[0] for column in columns],
+        "layers": layers,
+    }
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

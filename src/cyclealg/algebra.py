@@ -20,7 +20,8 @@ import numpy as np
 
 from . import config
 from .errors import DegreeOverflow, DimensionMismatch, NotInAlgebra
-from .poly import Poly, eval_at_unit_roots, int_from_json, poly_from_json
+from .poly import Poly, _canonical, eval_at_unit_roots
+from .poly import int_from_json, poly_from_json
 
 __all__ = [
     "CycleElement",
@@ -154,20 +155,19 @@ class CycleElement:
     def realized_coeffs(self, length: int | None = None) -> np.ndarray:
         """(n, n, L) tensor of z-coefficients of the realized entries."""
         n = self.n
+        placed = []
         need = 1
-        for i in range(n):
-            for j in range(n):
-                f = self.entries[i][j]
-                if not f.is_zero:
-                    need = max(need, _steps(i, j, n) + n * f.degree + 1)
-        L = need if length is None else max(length, need)
-        out = np.zeros((n, n, L), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                f = self.entries[i][j]
+        for i, row in enumerate(self.entries):
+            for j, f in enumerate(row):
                 if not f.is_zero:
                     s = _steps(i, j, n)
-                    out[i, j, s : s + n * f.degree + 1 : n] = f.coeffs
+                    end = s + n * f.degree + 1
+                    placed.append((i, j, s, end, f.coeffs))
+                    need = max(need, end)
+        L = need if length is None else max(length, need)
+        out = np.zeros((n, n, L), dtype=complex)
+        for i, j, s, end, c in placed:
+            out[i, j, s:end:n] = c
         return out
 
     def norm(self, grid: int = config.NORM_GRID) -> float:
@@ -341,19 +341,18 @@ def random_element(
 ) -> CycleElement:
     """Dense random element; coefficients uniform in the complex unit box."""
     coeffs = rng.uniform(-1.0, 1.0, size=(n, n, deg + 1, 2))
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            c = coeffs[i, j, :, 0] + 1j * coeffs[i, j, :, 1]
-            row.append(Poly(c * scale))
-        rows.append(tuple(row))
-    elem = CycleElement(n, tuple(rows))
+    grid = [
+        [_canonical((c[:, 0] + 1j * c[:, 1]) * scale) for c in row]
+        for row in coeffs
+    ]
     if normalize:
-        top = max(p.norm_l1 for r in elem.entries for p in r)
+        # the largest Poly.norm_l1, taken on the trimmed coefficients
+        top = max(float(np.sum(np.abs(c))) for row in grid for c in row)
         if top > 0:
-            elem = elem * (1.0 / top)
-    return elem
+            grid = [[c * (1.0 / top) for c in row] for row in grid]
+    return CycleElement(
+        n, tuple(tuple(Poly(c) for c in row) for row in grid)
+    )
 
 
 def element_from_json(data: dict) -> CycleElement:

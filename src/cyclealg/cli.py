@@ -411,6 +411,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.tol_inner is not None and not 0 < args.tol_inner < np.inf:
         _fail(2, "tol-inner must be positive and finite")
         return 2
+    if args.grid is not None and args.grid < 1:
+        _fail(2, "grid must be >= 1")
+        return 2
     try:
         code, payload = _COMMANDS[args.command](args)
     except _InputError as exc:

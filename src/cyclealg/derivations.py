@@ -15,6 +15,7 @@ identity used at boundary points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import config
 from .algebra import CycleElement, diagonal, mul_elem, random_element
 from .errors import DimensionMismatch
-from .poly import Poly
+from .poly import Poly, powers
 from .representations import (
     DiagZero,
     Lambda,
@@ -112,85 +113,57 @@ class GenDerivation:
             tuple(p @ X - X @ p for p in phi_Z),
         )
 
+    @cached_property
+    def _stacked(self) -> np.ndarray:
+        """All 2n generator values, one flattened value per row."""
+        values = np.stack(self.values_e + self.values_Z)
+        return values.reshape(2 * self.n, -1)
+
+    @cached_property
+    def _path_weights(self) -> tuple[np.ndarray, ...]:
+        """F, G, the reading sum and Q of the closed form in ``apply``.
+
+        Column i of F is D(Z_i)[:, i+1], row j of G is D(Z_{j-1})[j-1, :],
+        and Q[i, j] sums the (j - i - 2) mod n arrow readings
+        s_k = D(Z_k)[k, k+1] that start at vertex i+1.
+        """
+        n = self.n
+        idx = np.arange(n)
+        nxt = (idx + 1) % n
+        VZ = np.asarray(self.values_Z)
+        s = VZ[idx, idx, nxt]
+        csum = np.concatenate([[0], np.cumsum(np.concatenate([s, s]))])
+        rem = (idx[None, :] - idx[:, None] - 2) % n
+        Q = csum[nxt[:, None] + rem] - csum[nxt][:, None]
+        return VZ[idx, :, nxt].T, VZ[idx - 1, idx - 1, :], s.sum(), Q
+
     def apply(self, a: CycleElement) -> np.ndarray:
         """Extend the generator values to an arbitrary element.
 
-        Every admissible monomial is a path of arrow steps scaled by a
-        coefficient; the Leibniz rule along the path collapses, at a Lambda
-        point, to a closed form involving one column of D(Z_first), one row
-        of D(Z_last) and the diagonal arrow readings in between.  At a
-        DiagZero point every path of length >= 2 dies.
+        R[i, j, m] is the coefficient of the m-step path leaving vertex i;
+        paths of length 0 and 1 are the generators themselves.  Along a
+        longer path at a Lambda point the Leibniz rule leaves lam**(m-1)
+        times one column of D(Z_first), one row of D(Z_last) and the
+        readings of the m - 2 interior arrows, so with the power sums
+        S0 = sum_m R lam**(m-1) and S1 = sum_m R lam**(m-1) (m-2)//n over
+        m >= 2 the paths add F S0 + S0 G + (sum s) S1 + Q * S0 (see
+        ``_path_weights``).  At a DiagZero point every such path dies.
         """
         if a.n != self.n:
             raise DimensionMismatch("element and derivation sizes differ")
-        if isinstance(self.point, Lambda):
-            return self._apply_lambda(a)
-        return self._apply_diag0(a)
-
-    def _apply_lambda(self, a: CycleElement) -> np.ndarray:
-        lam = self.point.value
         n = self.n
-        out = np.zeros((n, n), dtype=complex)
-        # arrow readings s_j = D(Z_j)[j, j+1] and cyclic prefix sums
-        sZ = np.array(
-            [self.values_Z[j][j, (j + 1) % n] for j in range(n)],
-            dtype=complex,
-        )
-        csum = np.zeros(2 * n + 1, dtype=complex)
-        csum[1:] = np.cumsum(np.concatenate([sZ, sZ]))
-        total = sZ.sum()
-        for i in range(n):
-            for j in range(n):
-                f = a.entries[i][j]
-                if f.is_zero:
-                    continue
-                s = (j - i) % n
-                for d in range(len(f.coeffs)):
-                    c = f.coeffs[d]
-                    if c == 0:
-                        continue
-                    m = s + d * n
-                    if m == 0:
-                        out += c * self.values_e[i]
-                    elif m == 1:
-                        out += c * self.values_Z[i]
-                    else:
-                        lp = lam ** (m - 1)
-                        if lp == 0:
-                            continue
-                        w = c * lp
-                        first = self.values_Z[i]
-                        last_idx = (i + m - 1) % n
-                        last = self.values_Z[last_idx]
-                        out[:, j] += w * first[:, (i + 1) % n]
-                        out[i, :] += w * last[last_idx, :]
-                        interior = m - 2
-                        if interior:
-                            full, rem = divmod(interior, n)
-                            start = (i + 1) % n
-                            mid = full * total + (
-                                csum[start + rem] - csum[start]
-                            )
-                            out[i, j] += w * mid
-        return out
-
-    def _apply_diag0(self, a: CycleElement) -> np.ndarray:
-        n = self.n
-        out = np.zeros((1, 1), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                f = a.entries[i][j]
-                if f.is_zero:
-                    continue
-                s = (j - i) % n
-                if s == 0 and len(f.coeffs):
-                    out += f.coeffs[0] * self.values_e[i]
-                # the unique length-1 monomial at (i, j): s=1, or w itself
-                # when n = 1
-                d1 = (1 - s) // n if (1 - s) % n == 0 else -1
-                if d1 >= 0 and d1 < len(f.coeffs):
-                    out += f.coeffs[d1] * self.values_Z[i]
-        return out
+        R = a.realized_coeffs(2)
+        idx = np.arange(n)
+        lead = np.concatenate([R[idx, idx, 0], R[idx, (idx + 1) % n, 1]])
+        out = (lead @ self._stacked).reshape(self.values_e[0].shape)
+        if isinstance(self.point, DiagZero) or R.shape[2] == 2:
+            return out
+        F, G, total, Q = self._path_weights
+        weight = powers(self.point.value, R.shape[2])[1:-1]  # lam**(m-1)
+        k = np.arange(len(weight))  # m - 2
+        sums = R[:, :, 2:] @ np.stack([weight, weight * (k // n)], axis=1)
+        S0, S1 = sums[:, :, 0], sums[:, :, 1]
+        return out + F @ S0 + S0 @ G + total * S1 + Q * S0
 
     def to_json(self) -> dict:
         from .representations import matc_to_json, point_to_json
@@ -205,9 +178,12 @@ class GenDerivation:
 def gen_derivation_from_json(data: dict) -> GenDerivation:
     from .representations import matc_from_json, point_from_json
 
-    point = point_from_json(data["point"])
-    values_e = tuple(matc_from_json(v) for v in data["values_e"])
-    values_Z = tuple(matc_from_json(v) for v in data["values_Z"])
+    try:
+        point = point_from_json(data["point"])
+        values_e = tuple(matc_from_json(v) for v in data["values_e"])
+        values_Z = tuple(matc_from_json(v) for v in data["values_Z"])
+    except TypeError as exc:
+        raise ValueError(f"malformed derivation JSON: {exc}") from exc
     return GenDerivation(point, values_e, values_Z)
 
 
@@ -489,10 +465,12 @@ def boundary_approx_identity(
     bump = Poly([0.5, 0.5 * np.conj(w0)]) ** k
     h = Poly.one() - bump
     # h(w0) is 0 exactly; the stored tail is trimmed and rounded, so shift
-    # the constant coefficient below the canonicalization threshold to keep
-    # the kernel membership at float precision
-    defect = complex(h.eval(w0))
-    coeffs = h.coeffs.copy() if len(h.coeffs) else np.zeros(1, dtype=complex)
+    # the constant coefficient (1 - 2**-k, never trimmed) below the
+    # canonicalization threshold to keep the kernel membership at float
+    # precision.  The defect is summed on the powers of lam, as eval_rep
+    # does: Horner in the rounded w0 missed it by up to about k * n * eps
+    defect = h.coeffs @ powers(lam, n * h.degree + 1)[::n]
+    coeffs = h.coeffs.copy()
     coeffs[0] -= defect
     h = Poly(coeffs)
     F = diagonal(n, h)

@@ -153,12 +153,13 @@ class GlobalDerivation:
 
 
 def global_derivation_from_json(data: dict) -> GlobalDerivation:
-    n = int_from_json(data["n"], "n", 1)
-    return GlobalDerivation(
-        n,
-        tuple(element_from_json(v) for v in data["values_e"]),
-        tuple(element_from_json(v) for v in data["values_Z"]),
-    )
+    try:
+        n = int_from_json(data["n"], "n", 1)
+        values_e = tuple(element_from_json(v) for v in data["values_e"])
+        values_Z = tuple(element_from_json(v) for v in data["values_Z"])
+    except TypeError as exc:
+        raise ValueError(f"malformed derivation JSON: {exc}") from exc
+    return GlobalDerivation(n, values_e, values_Z)
 
 
 def _path_monomial(n: int, i: int, m: int) -> CycleElement:
@@ -207,12 +208,15 @@ class BoundaryField:
 
 
 def boundary_field_from_json(data: dict) -> BoundaryField:
-    n = int_from_json(data["n"], "n", 1)
-    m = int_from_json(data["m"], "m", 1)
-    X_at = np.stack([matc_from_json(x) for x in data["X_at"]])
+    try:
+        n = int_from_json(data["n"], "n", 1)
+        m = int_from_json(data["m"], "m", 1)
+        X_at = np.stack([matc_from_json(x) for x in data["X_at"]])
+        max_residual = float(data.get("max_residual", 0.0))
+    except TypeError as exc:
+        raise ValueError(f"malformed boundary field JSON: {exc}") from exc
     if X_at.shape != (m, n, n):
         raise ValueError("boundary field payload has wrong shape")
-    max_residual = float(data.get("max_residual", 0.0))
     if not np.isfinite(max_residual):
         raise ValueError("max_residual must be finite")
     return BoundaryField(n, m, X_at, max_residual)

@@ -13,13 +13,14 @@ Two families of evaluation points:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from . import config
 from .algebra import CycleElement, monomial_elem, mul_elem, random_element
 from .errors import DimensionMismatch
-from .poly import Poly, eval_at_unit_roots, int_from_json
+from .poly import Poly, eval_at_unit_roots, int_from_json, powers
 
 __all__ = [
     "Lambda",
@@ -76,16 +77,8 @@ def eval_rep(point: RepPoint, a: CycleElement) -> np.ndarray:
     """
     n = a.n
     if isinstance(point, Lambda):
-        lam = point.value
-        w0 = lam**n
-        out = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                f = a.entries[i][j]
-                s = (j - i) % n
-                # lam**0 == 1 also at lam == 0, matching the convention
-                out[i, j] = (lam**s) * f.eval(w0) if not f.is_zero else 0.0
-        return out
+        R = a.realized_coeffs()
+        return R @ powers(point.value, R.shape[2])
     if isinstance(point, DiagZero):
         if point.i > n:
             raise DimensionMismatch(
@@ -300,9 +293,15 @@ def point_to_json(point: RepPoint) -> dict:
 
 
 def point_from_json(data: dict) -> RepPoint:
+    if not isinstance(data, dict):
+        raise ValueError(f"point must be a JSON object, got {data!r}")
     kind = data.get("kind")
     if kind == "lambda":
-        return Lambda(complex(float(data["re"]), float(data.get("im", 0.0))))
+        coords = (data["re"], data.get("im", 0.0))
+        # bool is an int subclass; a JSON true must not read as 1.0
+        if any(isinstance(x, bool) or not isinstance(x, Real) for x in coords):
+            raise ValueError(f"point coordinates must be numbers: {coords}")
+        return Lambda(complex(*coords))
     if kind == "diag0":
         return DiagZero(int_from_json(data["i"], "i", 1))
     raise ValueError(f"unknown representation point kind: {kind!r}")
@@ -314,7 +313,10 @@ def matc_to_json(m: np.ndarray) -> list[list[float]]:
 
 
 def matc_from_json(data) -> np.ndarray:
-    flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+    try:
+        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+    except TypeError as exc:
+        raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if not np.isfinite(flat).all():
         raise ValueError("matrix entries must be finite")
     n = int(round(len(flat) ** 0.5))

@@ -299,6 +299,62 @@ def test_reconstruct_corrupted_field_names_entry(tmp_path, capsys):
     assert "NotInAlgebra" in err and "entry" in err
 
 
+def _arrow_commutator():
+    return GlobalDerivation.from_commutator(gen_Z(2, 1))
+
+
+def _field_doc():
+    return solve_boundary_field(_arrow_commutator(), m=16, deg_max=4).to_json()
+
+
+@pytest.mark.parametrize(
+    "command, key, bad",
+    [
+        ("inner-check", "values_e", 5),
+        ("inner-check", "values_Z", [[["a", 0]]] * 2),
+        ("inner-check", "point", [0.5]),
+        ("inner-check", "point", {"kind": "lambda", "re": True}),
+        ("inner-check", "point", {"kind": "lambda", "re": "0.5"}),
+        ("reconstruct", "values_e", 7),
+        ("reconstruct", "X_at", 3),
+    ],
+)
+def test_malformed_derivation_and_field_json_is_input_error(
+    tmp_path, capsys, command, key, bad
+):
+    if key == "X_at":
+        doc = _field_doc()
+    elif command == "reconstruct":
+        doc = _arrow_commutator().to_json()
+    else:
+        doc = inner_data()
+    doc[key] = bad
+    path = write(tmp_path, "in.json", doc)
+    code, out, err = run(capsys, [command, "--input", path])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["exit_code"] == 2
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("approx-identity", {"lambda": [1.0, 0.0], "n": 1, "k_values": [2]}),
+        ("suite", {}),
+        ("reconstruct", _arrow_commutator().to_json()),
+    ],
+)
+@pytest.mark.parametrize("grid", ["0", "-4"])
+def test_grid_below_one_rejected(tmp_path, capsys, command, doc, grid):
+    # approx-identity and suite took a zero grid for the default while the
+    # report's config still said 0
+    path = write(tmp_path, "in.json", doc)
+    code, out, err = run(capsys, [command, "--grid", grid, "--input", path])
+    assert code == 2
+    assert out == ""
+    assert "grid" in json.loads(err)["error"]
+
+
 # ----------------------------------------------------------------------
 # suite
 # ----------------------------------------------------------------------

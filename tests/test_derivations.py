@@ -40,6 +40,40 @@ def commutator_derivation(point, X, n):
     return lambda a: delta_X(point, X, a)
 
 
+def apply_oracle(D: GenDerivation, a) -> np.ndarray:
+    """The Leibniz rule walked along every path, one coefficient at a time.
+
+    A path of m >= 2 arrow steps from vertex i to j contributes
+    lam**(m-1) times column i+1 of D(Z_i) in column j, row m-1+i of
+    D(Z_{m-1+i}) in row i, and the readings D(Z_k)[k, k+1] of its m - 2
+    interior arrows at (i, j).  At a DiagZero point only paths of length
+    0 and 1 survive.
+    """
+    n = D.n
+    lam = None
+    if isinstance(D.point, Lambda):
+        lam = D.point.value
+        readings = [D.values_Z[k][k, (k + 1) % n] for k in range(n)]
+    out = np.zeros(D.values_e[0].shape, dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            for d, c in enumerate(a.entries[i][j].coeffs):
+                m = (j - i) % n + d * n
+                if m == 0:
+                    out += c * D.values_e[i]
+                elif m == 1:
+                    out += c * D.values_Z[i]
+                elif lam is not None:
+                    w = c * lam ** (m - 1)
+                    last = (i + m - 1) % n
+                    out[:, j] += w * D.values_Z[i][:, (i + 1) % n]
+                    out[i, :] += w * D.values_Z[last][last, :]
+                    out[i, j] += w * sum(
+                        readings[(i + 1 + t) % n] for t in range(m - 2)
+                    )
+    return out
+
+
 POINTS = [
     Lambda(0.0),
     Lambda(0.5),
@@ -72,6 +106,27 @@ def test_extension_matches_commutator_diag0():
         a = random_element(3, rng, deg=5)
         # one-dimensional commutators vanish identically
         assert np.allclose(D.apply(a), 0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_closed_form_matches_path_walk(n):
+    # random data that is no derivation, so no Leibniz identity can hide
+    # a wrong weight on some path
+    rng = np.random.default_rng(60 + n)
+    points = [Lambda(0.0), Lambda(0.45 - 0.3j), Lambda(np.exp(2.1j))]
+    points += [DiagZero(i) for i in range(1, n + 1)]
+    for point in points:
+        dim = n if isinstance(point, Lambda) else 1
+        D = GenDerivation(
+            point,
+            tuple(random_matrix(rng, dim) for _ in range(n)),
+            tuple(random_matrix(rng, dim) for _ in range(n)),
+        )
+        for deg in (0, 1, 2, 13, 40):
+            a = random_element(n, rng, deg=deg)
+            expected = apply_oracle(D, a)
+            gap = np.max(np.abs(D.apply(a) - expected))
+            assert gap <= 1e-12 * np.max(np.abs(expected)), (point, deg)
 
 
 def test_extension_is_linear_in_the_element():
@@ -346,6 +401,21 @@ def test_approx_identity_monotone_decay():
         # F_k itself stays in the kernel ideal
         assert np.max(np.abs(eval_rep(Lambda(lam), F))) <= 1e-12
     assert prev < 0.1
+
+
+def test_approx_identity_lies_in_the_kernel():
+    # F(lam) = h(lam**n) summed in extended precision: the constant shift
+    # must cancel h at the point itself, not at a rounded lam**n
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("numpy has no extended precision on this platform")
+    lam = np.exp(2.3j)
+    for n in (2, 3):
+        F, report = boundary_approx_identity(lam, 4096, n, norm_grid=7)
+        coeffs = F.entries[0][0].coeffs.astype(np.clongdouble)
+        w0 = np.clongdouble(lam) ** n
+        # about 1e-13 at n = 2 when the shift was taken by Horner in w0
+        assert abs(np.polynomial.polynomial.polyval(w0, coeffs)) <= 2.5e-14
+        assert report["kernel_value_F"] <= 2.5e-14
 
 
 def test_approx_identity_validation():

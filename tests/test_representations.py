@@ -118,14 +118,15 @@ def test_eval_is_linear():
 
 def test_eval_matches_realized_oracle():
     rng = np.random.default_rng(34)
-    for n in (1, 3):
-        a = random_element(n, rng, deg=5)
-        for lam in (0.0, 0.7, -0.3 + 0.4j, np.exp(0.3j)):
-            assert np.allclose(
-                eval_rep(Lambda(lam), a),
-                eval_rep_oracle(lam, a),
-                atol=1e-10,
-            )
+    for n in range(1, 7):
+        for deg in (0, 1, 2, 5, 13, 40):
+            a = random_element(n, rng, deg=deg)
+            for lam in (0.0, 0.7, -0.3 + 0.4j, np.exp(0.3j), -1.0):
+                assert np.allclose(
+                    eval_rep(Lambda(lam), a),
+                    eval_rep_oracle(lam, a),
+                    atol=1e-10,
+                )
 
 
 def test_disk_validation():
