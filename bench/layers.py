@@ -1,7 +1,7 @@
 """Per-layer timings of the point-derivation path, one column per checkout.
 
     python bench/layers.py --column parent=../parent/src --column change=src \
-        --out BENCH_5.json
+        --out BENCH_6.json
 
 Each ``--column LABEL=SRC`` imports ``cyclealg`` from the directory SRC in
 a fresh interpreter (BLAS pinned to one thread) and times, at n = 1, 2, 4
@@ -12,7 +12,9 @@ and 6 on fixed seeded inputs:
   them),
 - ``check_leibniz`` with 40 trials on commutator data,
 - ``random_element(deg=6, normalize=True)``,
-- ``mul_elem`` of two degree-6 elements.
+- ``mul_elem`` of two degree-6 elements,
+- ``kernel_square_witness`` with budget 2 on a degree-2 kernel sample at
+  ``DiagZero(1)``, at n = 2, 3, 4 and 6 instead.
 
 Within one interpreter a timing is the median over 7 repeats of the
 per-call time; each repeat runs as many calls as ``timeit`` needs to last at
@@ -35,6 +37,7 @@ import sys
 from pathlib import Path
 
 SIZES = (1, 2, 4, 6)
+KERNEL_SIZES = (2, 3, 4, 6)
 REPEATS = 7
 ROUNDS = 3
 DEG = 6
@@ -51,7 +54,13 @@ def measure(src: str) -> dict:
 
     from cyclealg.algebra import mul_elem, random_element
     from cyclealg.derivations import GenDerivation, check_leibniz
-    from cyclealg.representations import Lambda, eval_rep
+    from cyclealg.representations import (
+        DiagZero,
+        Lambda,
+        eval_rep,
+        kernel_sample,
+        kernel_square_witness,
+    )
 
     def median_call(fn) -> float:
         timer = timeit.Timer(fn)
@@ -82,6 +91,11 @@ def measure(src: str) -> dict:
         }
         for name, fn in cases.items():
             out.setdefault(name, {})[f"n{n}"] = median_call(fn)
+    for n in KERNEL_SIZES:
+        k = kernel_sample(DiagZero(1), n, seed=600 + n, count=1, deg=2)[0]
+        out.setdefault("kernel_square_witness", {})[f"n{n}"] = median_call(
+            lambda: kernel_square_witness(DiagZero(1), k, budget=2)
+        )
     return out
 
 

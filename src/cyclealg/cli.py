@@ -39,7 +39,7 @@ from .derivations import (
     kernel_vanishing_test,
 )
 from .errors import CycleAlgebraError, NotInAlgebra, NotLocallyInner
-from .poly import int_from_json
+from .poly import complex_from_json, int_from_json
 from .reconstruction import (
     boundary_field_from_json,
     global_derivation_from_json,
@@ -248,7 +248,9 @@ def _cmd_suite(args) -> tuple[int, dict]:
 def _cmd_approx_identity(args) -> tuple[int, dict]:
     doc = _load_doc(args.input)
     try:
-        lam = complex(doc["lambda"][0], doc["lambda"][1])
+        lam = complex_from_json(
+            doc["lambda"][0], doc["lambda"][1], "boundary point lambda"
+        )
         n = int_from_json(doc["n"], "n", 1)
         k_values = [int_from_json(k, "k", 1) for k in doc["k_values"]]
     except (KeyError, TypeError, IndexError, ValueError) as exc:

@@ -10,7 +10,8 @@ polynomial is the empty coefficient vector and ``degree`` of zero is -1.
 
 from __future__ import annotations
 
-from numbers import Integral
+import math
+from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -197,10 +198,29 @@ def monomial(k: int, coeff: complex = 1.0) -> Poly:
 
 
 def poly_from_json(data: Sequence[Sequence[float]]) -> Poly:
-    c = np.array([complex(re, im) for re, im in data], dtype=complex)
-    if not np.isfinite(c).all():
-        raise ValueError("polynomial coefficients must be finite")
-    return Poly(c)
+    return Poly([complex_from_json(re, im, "coefficient") for re, im in data])
+
+
+def complex_from_json(re, im=0.0, name: str = "number") -> complex:
+    """A complex number read from its two JSON parts.
+
+    Each part must be a finite real number.  Booleans, strings, non-finite
+    values and integers too large for a float are rejected.
+    """
+    return complex(_float_from_json(re, name), _float_from_json(im, name))
+
+
+def _float_from_json(x, name: str) -> float:
+    if type(x) is not float:  # a JSON float needs only the finiteness test
+        if isinstance(x, bool) or not isinstance(x, Real):
+            raise ValueError(f"{name} must be a finite number, got {x!r}")
+        try:
+            x = float(x)
+        except OverflowError:
+            raise ValueError(f"{name} is too large for a float") from None
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be a finite number, got {x!r}")
+    return x
 
 
 def int_from_json(value, name: str, minimum: int) -> int:

@@ -13,14 +13,13 @@ Two families of evaluation points:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from . import config
-from .algebra import CycleElement, monomial_elem, mul_elem, random_element
+from .algebra import CycleElement, random_element
 from .errors import DimensionMismatch
-from .poly import Poly, eval_at_unit_roots, int_from_json, powers
+from .poly import Poly, complex_from_json, eval_at_unit_roots, powers
+from .poly import int_from_json
 
 __all__ = [
     "Lambda",
@@ -131,38 +130,32 @@ def kernel_sample(
     instead.  DiagZero points: random elements with the constant term of the
     pinned diagonal entry removed.  Membership is checked internally.
     """
+    factor, vertices = None, ()
+    if isinstance(point, Lambda) and abs(point.value) > 1e-12:
+        factor = Poly([-(point.value**n), 1.0])
+    elif isinstance(point, Lambda):
+        vertices = range(n)
+    elif isinstance(point, DiagZero):
+        if point.i > n:
+            raise DimensionMismatch(
+                f"vertex {point.i} out of range for n = {n}"
+            )
+        vertices = (point.i - 1,)
+    else:
+        raise TypeError(f"not a representation point: {point!r}")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
         g = random_element(n, rng, deg=deg, scale=scale)
-        if isinstance(point, Lambda) and abs(point.value) <= 1e-12:
-            rows = [list(row) for row in g.entries]
-            for i in range(n):
-                c = rows[i][i].coeffs.copy()
-                if len(c):
-                    c[0] = 0.0
-                rows[i][i] = Poly(c)
-            k = CycleElement(n, tuple(tuple(r) for r in rows))
-        elif isinstance(point, Lambda):
-            factor = Poly([-(point.value**n), 1.0])
-            rows = tuple(
-                tuple(factor * p for p in row) for row in g.entries
-            )
-            k = CycleElement(n, rows)
-        elif isinstance(point, DiagZero):
-            if point.i > n:
-                raise DimensionMismatch(
-                    f"vertex {point.i} out of range for n = {n}"
-                )
-            i0 = point.i - 1
-            rows = [list(row) for row in g.entries]
-            c = rows[i0][i0].coeffs.copy()
+        rows = [list(row) for row in g.entries]
+        if factor is not None:
+            rows = [[factor * p for p in row] for row in rows]
+        for i in vertices:
+            c = rows[i][i].coeffs.copy()
             if len(c):
                 c[0] = 0.0
-            rows[i0][i0] = Poly(c)
-            k = CycleElement(n, tuple(tuple(r) for r in rows))
-        else:
-            raise TypeError(f"not a representation point: {point!r}")
+            rows[i][i] = Poly(c)
+        k = CycleElement(n, tuple(tuple(row) for row in rows))
         off = float(np.max(np.abs(eval_rep(point, k))))
         if off > 1e-12 * (1.0 + scale):
             raise RuntimeError(f"kernel sample evaluates to {off:.3e}")
@@ -222,11 +215,16 @@ def kernel_square_witness(
 ) -> KernelSquareResult:
     """Try to write a kernel element as a sum of products of kernel elements.
 
-    Spans the square of the kernel of the one-dimensional representation by
-    products of kernel monomials with w-degree up to the budget and solves
-    for coefficients by least squares.  Success means the reconstruction
-    matches k coefficientwise within 1e-8.  For these characters the kernel
-    equals its own square, so genuine kernel elements decompose.
+    The factors are the kernel monomials w**d at position (a, b) with d up
+    to the budget.  A product of two of them is zero unless the middle
+    vertices agree, and otherwise one monomial: (a, b, d)(b, c, e) lands on
+    (a, c, d + e + wrap), where wrap is 1 when the path a -> b -> c passes a
+    full loop beyond the direct one.  Each coefficient of k is split evenly
+    over the pairs that reach its slot, the minimum-norm solution of the
+    incidence system.  The residual is the largest coefficient of k on a
+    slot that no pair reaches; success means it is at most 1e-8.  For these
+    characters the kernel equals its own square (n >= 2), so genuine kernel
+    elements decompose.
     """
     if not isinstance(point, DiagZero):
         raise TypeError("kernel_square_witness needs a DiagZero point")
@@ -236,46 +234,42 @@ def kernel_square_witness(
     if float(np.max(np.abs(eval_rep(point, k)))) > 1e-12:
         raise ValueError("element is not in the kernel at this point")
     i0 = point.i - 1
-    span = [
-        monomial_elem(n, a + 1, b + 1, d)
-        for a in range(n)
-        for b in range(n)
-        for d in range(budget + 1)
-        if not (a == b == i0 and d == 0)
-    ]
-    prod_cap = 2 * budget + 1
-    L = max(prod_cap + 1, k.max_degree + 1, 1)
-
-    def vec(elem: CycleElement) -> np.ndarray:
-        buf = np.zeros((n, n, L), dtype=complex)
-        for i in range(n):
-            for j in range(n):
-                c = elem.entries[i][j].coeffs
-                buf[i, j, : len(c)] = c
-        return buf.ravel()
-
-    cols = []
-    pairs_idx = []
-    for s, left in enumerate(span):
-        for t, right in enumerate(span):
-            prod = mul_elem(left, right, deg_max=prod_cap)
-            if prod.is_zero:
-                continue
-            cols.append(vec(prod))
-            pairs_idx.append((s, t))
-    target = vec(k)
-    if not cols:
-        residual = float(np.max(np.abs(target)))
-        return KernelSquareResult(residual <= 1e-8, budget, residual, ())
-    A = np.stack(cols, axis=1)
-    x, *_ = np.linalg.lstsq(A, target, rcond=None)
-    residual = float(np.max(np.abs(A @ x - target)))
+    # span monomials (a, b, d), row-major; e_i itself is not in the kernel
+    in_span = np.ones((n, n, budget + 1), dtype=bool)
+    in_span[i0, i0, 0] = False
+    span = np.argwhere(in_span)
+    L = max(2 * budget + 2, k.max_degree + 1, 1)
+    target = np.zeros((n, n, L), dtype=complex)
+    for i, row in enumerate(k.entries):
+        for j, f in enumerate(row):
+            target[i, j, : len(f.coeffs)] = f.coeffs
+    target = target.ravel()
+    # pairs (s, t) in row-major order whose middle vertices agree
+    s, t = np.nonzero(span[:, 1, None] == span[None, :, 0])
+    a, b, d = span[s].T
+    c, e = span[t, 1], span[t, 2]
+    wrap = ((b - a) % n + (c - b) % n - (c - a) % n) // n
+    slot = np.ravel_multi_index((a, c, d + e + wrap), (n, n, L))
+    count = np.bincount(slot, minlength=target.size)
+    residual = float(np.max(np.abs(target[count == 0]), initial=0.0))
     if residual > 1e-8:
         return KernelSquareResult(False, budget, residual, ())
+    weights = target[slot] / count[slot]
+    blank = Poly()
+
+    def factor(index: int, weight: complex = 1.0) -> CycleElement:
+        # monomial_elem(...) * weight, building one Poly instead of n**2
+        i, j, power = span[index]
+        unit = np.zeros(power + 1, dtype=complex)
+        unit[power] = 1.0
+        rows = [[blank] * n for _ in range(n)]
+        rows[i][j] = Poly(unit * weight)
+        return CycleElement(n, tuple(tuple(row) for row in rows))
+
+    keep = np.nonzero(np.abs(weights) > 1e-12)[0]
+    rights = {index: factor(index) for index in np.unique(t[keep])}
     pairs = tuple(
-        (span[s] * complex(weight), span[t])
-        for (s, t), weight in zip(pairs_idx, x)
-        if abs(weight) > 1e-12
+        (factor(s[p], complex(weights[p])), rights[t[p]]) for p in keep
     )
     return KernelSquareResult(True, budget, residual, pairs)
 
@@ -297,11 +291,9 @@ def point_from_json(data: dict) -> RepPoint:
         raise ValueError(f"point must be a JSON object, got {data!r}")
     kind = data.get("kind")
     if kind == "lambda":
-        coords = (data["re"], data.get("im", 0.0))
-        # bool is an int subclass; a JSON true must not read as 1.0
-        if any(isinstance(x, bool) or not isinstance(x, Real) for x in coords):
-            raise ValueError(f"point coordinates must be numbers: {coords}")
-        return Lambda(complex(*coords))
+        return Lambda(
+            complex_from_json(data["re"], data.get("im", 0.0), "point")
+        )
     if kind == "diag0":
         return DiagZero(int_from_json(data["i"], "i", 1))
     raise ValueError(f"unknown representation point kind: {kind!r}")
@@ -314,11 +306,12 @@ def matc_to_json(m: np.ndarray) -> list[list[float]]:
 
 def matc_from_json(data) -> np.ndarray:
     try:
-        flat = np.array([complex(re, im) for re, im in data], dtype=complex)
+        flat = np.array(
+            [complex_from_json(re, im, "matrix entry") for re, im in data],
+            dtype=complex,
+        )
     except TypeError as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
-    if not np.isfinite(flat).all():
-        raise ValueError("matrix entries must be finite")
     n = int(round(len(flat) ** 0.5))
     if n * n != len(flat):
         raise ValueError("matrix payload length is not a perfect square")

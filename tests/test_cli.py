@@ -119,6 +119,46 @@ def test_non_finite_derivation_and_lambda_rejected(tmp_path, capsys):
     assert code == 2 and "finite" in err
 
 
+@pytest.mark.parametrize(
+    "bad", [True, "0.5", 10**400, float("inf")],
+    ids=["bool", "string", "huge-int", "inf"],
+)
+@pytest.mark.parametrize(
+    "where", ["coefficient", "point", "matrix-entry", "lambda"]
+)
+def test_bad_numbers_are_input_errors(tmp_path, capsys, where, bad):
+    # every [re, im] part a command reads goes through one number reader
+    if where == "coefficient":
+        element = gen_e(2, 1).to_json()
+        element["entries"][0][0][0] = [bad, 0.0]
+        point = {"kind": "lambda", "re": 0.5, "im": 0.0}
+        argv, doc = ["eval"], {"element": element, "point": point}
+    elif where == "point":
+        point = {"kind": "lambda", "re": bad, "im": 0.0}
+        element = gen_e(2, 1).to_json()
+        argv, doc = ["eval"], {"element": element, "point": point}
+    elif where == "matrix-entry":
+        doc = inner_data()
+        doc["values_Z"][0][1] = [0.0, bad]
+        argv = ["inner-check"]
+    else:
+        doc = {"lambda": [bad, 0.0], "n": 2, "k_values": [4]}
+        argv = ["approx-identity"]
+    path = write(tmp_path, "in.json", doc)
+    code, out, err = run(capsys, argv + ["--input", path])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["exit_code"] == 2
+
+
+def test_boolean_lambda_is_not_the_point_one(tmp_path, capsys):
+    doc = {"lambda": [True, False], "n": 2, "k_values": [4]}
+    path = write(tmp_path, "in.json", doc)
+    code, out, err = run(capsys, ["approx-identity", "--input", path])
+    assert code == 2 and out == ""
+    assert "boundary point lambda must be a finite number" in err
+
+
 # ----------------------------------------------------------------------
 # inner-check
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from cyclealg.config import EPS_COEFF
 from cyclealg.errors import RootMismatch
 from cyclealg.poly import (
     Poly,
+    complex_from_json,
     eval_at_unit_roots,
     interpolate_roots_of_unity,
     monomial,
@@ -246,6 +247,17 @@ def test_json_round_trip():
     p = random_poly(rng, deg=5)
     assert poly_from_json(p.to_json()) == p
     assert poly_from_json(Poly().to_json()).is_zero
+
+
+def test_complex_from_json():
+    assert complex_from_json(1, -2.5) == complex(1, -2.5)
+    assert complex_from_json(0.25) == 0.25
+    for bad in (True, False, "1", None, [1.0], float("nan"), float("-inf"),
+                10**400):
+        with pytest.raises(ValueError):
+            complex_from_json(bad, 0.0)
+        with pytest.raises(ValueError):
+            complex_from_json(0.0, bad)
 
 
 def test_norm_l1():

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
 from cyclealg.algebra import (
+    CycleElement,
     gen_Z,
     gen_e,
     generators,
@@ -19,6 +22,7 @@ from cyclealg.errors import DimensionMismatch
 from cyclealg.poly import Poly
 from cyclealg.representations import (
     DiagZero,
+    KernelSquareResult,
     Lambda,
     eval_rep,
     eval_rep_at_unit_roots,
@@ -265,6 +269,167 @@ def test_kernel_square_rejects_non_kernel_element():
         kernel_square_witness(DiagZero(1), identity(2), budget=2)
     with pytest.raises(TypeError):
         kernel_square_witness(Lambda(0.0), zero(2), budget=2)
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_products(n, i0, budget, L):
+    """Span monomials, the product of every pair as a column, and the pairs."""
+    span = [
+        monomial_elem(n, a + 1, b + 1, d)
+        for a in range(n)
+        for b in range(n)
+        for d in range(budget + 1)
+        if not (a == b == i0 and d == 0)
+    ]
+    cols = []
+    pairs_idx = []
+    for s, left in enumerate(span):
+        for t, right in enumerate(span):
+            prod = mul_elem(left, right, deg_max=2 * budget + 1)
+            if prod.is_zero:
+                continue
+            cols.append(_dense_vec(prod, L))
+            pairs_idx.append((s, t))
+    return span, cols, pairs_idx
+
+
+def _dense_vec(elem, L):
+    n = elem.n
+    buf = np.zeros((n, n, L), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            c = elem.entries[i][j].coeffs
+            buf[i, j, : len(c)] = c
+    return buf.ravel()
+
+
+def kernel_square_oracle(point, k, budget):
+    """Dense least squares over every pairwise product of span monomials."""
+    L = max(2 * budget + 2, k.max_degree + 1, 1)
+    span, cols, pairs_idx = _dense_products(k.n, point.i - 1, budget, L)
+    target = _dense_vec(k, L)
+    if not cols:
+        residual = float(np.max(np.abs(target)))
+        return KernelSquareResult(residual <= 1e-8, budget, residual, ())
+    A = np.stack(cols, axis=1)
+    x, *_ = np.linalg.lstsq(A, target, rcond=None)
+    residual = float(np.max(np.abs(A @ x - target)))
+    if residual > 1e-8:
+        return KernelSquareResult(False, budget, residual, ())
+    pairs = tuple(
+        (span[s] * complex(weight), span[t])
+        for (s, t), weight in zip(pairs_idx, x)
+        if abs(weight) > 1e-12
+    )
+    return KernelSquareResult(True, budget, residual, pairs)
+
+
+def _monomial(elem):
+    """(row, column, w-degree, coefficient) of a one-term element."""
+    (a, b, f), = [
+        (a, b, f)
+        for a, row in enumerate(elem.entries)
+        for b, f in enumerate(row)
+        if not f.is_zero
+    ]
+    assert np.count_nonzero(f.coeffs) == 1
+    return a, b, f.degree, complex(f.coeffs[-1])
+
+
+def _kernel_square_cases():
+    cases = [
+        pytest.param(DiagZero(1), n, ("monomial", a, b, d), 2,
+                     id=f"monomial-n{n}-{a}{b}{d}")
+        for n in (2, 3)
+        for a in range(n)
+        for b in range(n)
+        for d in range(3)
+        if not (a == b == 0 and d == 0)
+    ]
+    cases.append(pytest.param(DiagZero(1), 1, ("monomial", 0, 0, 1), 2,
+                              id="z-n1"))
+    cases += [
+        pytest.param(DiagZero(i), n, ("sample", deg), budget,
+                     id=f"sample-n{n}-i{i}-b{budget}-deg{deg}")
+        for n in range(1, 5)
+        for i in range(1, n + 1)
+        for budget in range(4)
+        for deg in (0, 2, 5)
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("point, n, kind, budget", _kernel_square_cases())
+def test_kernel_square_matches_dense_oracle(point, n, kind, budget):
+    if kind[0] == "monomial":
+        _, a, b, d = kind
+        elements = [monomial_elem(n, a + 1, b + 1, d)]
+    else:
+        seed = 1000 * n + 100 * point.i + 10 * budget + kind[1]
+        elements = kernel_sample(point, n, seed=seed, count=2, deg=kind[1])
+    for k in elements:
+        got = kernel_square_witness(point, k, budget=budget)
+        want = kernel_square_oracle(point, k, budget)
+        assert got.success == want.success
+        assert got.budget == budget
+        if not want.success:
+            assert got.residual == pytest.approx(want.residual, abs=1e-12)
+            assert got.pairs == ()
+            continue
+        assert len(got.pairs) == len(want.pairs)
+        for (gl, gr), (wl, wr) in zip(got.pairs, want.pairs):
+            assert _monomial(gr) == _monomial(wr)
+            *g_pos, g_weight = _monomial(gl)
+            *w_pos, w_weight = _monomial(wl)
+            assert g_pos == w_pos
+            assert abs(g_weight - w_weight) <= 1e-15
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_kernel_equals_its_square_at_every_scalar_point(n):
+    # k = sum_{j != i} k e_j + k' Z_{i-1}, k' = column i of k with the last
+    # arrow removed; every factor lies in the kernel of DiagZero(i)
+    es, Zs = generators(n)
+    for i in range(1, n + 1):
+        point = DiagZero(i)
+        k = kernel_sample(point, n, seed=60 + n, count=1, deg=2)[0]
+        i0, prev = i - 1, (i - 2) % n
+        rows = [[Poly() for _ in range(n)] for _ in range(n)]
+        for a in range(n):
+            f = k.entries[a][i0]
+            rows[a][prev] = Poly(f.coeffs[1:]) if a == i0 else f
+        k_prime = CycleElement(n, tuple(tuple(r) for r in rows))
+        factors = [(k, es[j]) for j in range(n) if j != i0]
+        factors.append((k_prime, Zs[prev]))
+        total = zero(n)
+        for left, right in factors:
+            for f in (left, right):
+                assert np.max(np.abs(eval_rep(point, f))) <= 1e-12
+            total = total + mul_elem(left, right)
+        assert total == k
+        result = kernel_square_witness(point, k, budget=2)
+        assert result.success and result.residual == 0.0
+        # realized degrees stay below m, so the grid values decide equality
+        m = 6 * n
+        rebuilt = sum(
+            eval_rep_at_unit_roots(left, m) @ eval_rep_at_unit_roots(right, m)
+            for left, right in result.pairs
+        )
+        assert np.allclose(rebuilt, eval_rep_at_unit_roots(k, m), atol=1e-12)
+
+
+@pytest.mark.parametrize("budget", range(4))
+@pytest.mark.parametrize("position", [(1, 1), (1, 2), (3, 1)])
+def test_kernel_square_residual_is_the_unreached_coefficient(budget, position):
+    # products of span monomials reach w-degree 2 * budget + 1 at most
+    coeff = 0.37 - 0.21j
+    k = monomial_elem(3, 2, 3, 0) + monomial_elem(
+        3, *position, 2 * budget + 2, coeff
+    )
+    result = kernel_square_witness(DiagZero(1), k, budget=budget)
+    assert not result.success
+    assert result.residual == pytest.approx(abs(coeff), rel=1e-15)
+    assert result.pairs == ()
 
 
 # ----------------------------------------------------------------------
