@@ -1,7 +1,7 @@
 """Per-layer timings of the point-derivation path, one column per checkout.
 
     python bench/layers.py --column parent=../parent/src --column change=src \
-        --out BENCH_6.json
+        --out BENCH_7.json
 
 Each ``--column LABEL=SRC`` imports ``cyclealg`` from the directory SRC in
 a fresh interpreter (BLAS pinned to one thread) and times, at n = 1, 2, 4
@@ -10,7 +10,9 @@ and 6 on fixed seeded inputs:
 - ``GenDerivation.apply`` and ``eval_rep`` at an interior Lambda point on a
   product of two degree-6 elements (the element ``check_leibniz`` feeds
   them),
-- ``check_leibniz`` with 40 trials on commutator data,
+- ``check_leibniz`` with 40 trials on commutator data, and
+  ``relation_residual`` on the same data (``null`` in a column whose
+  checkout lacks it),
 - ``random_element(deg=6, normalize=True)``,
 - ``mul_elem`` of two degree-6 elements,
 - ``kernel_square_witness`` with budget 2 on a degree-2 kernel sample at
@@ -52,6 +54,7 @@ def measure(src: str) -> dict:
 
     import numpy as np
 
+    from cyclealg import derivations
     from cyclealg.algebra import mul_elem, random_element
     from cyclealg.derivations import GenDerivation, check_leibniz
     from cyclealg.representations import (
@@ -69,7 +72,8 @@ def measure(src: str) -> dict:
         runs = timer.repeat(repeat=REPEATS, number=number)
         return statistics.median(runs) / number
 
-    out: dict[str, dict[str, float]] = {}
+    relation_residual = getattr(derivations, "relation_residual", None)
+    out: dict[str, dict[str, float | None]] = {}
     point = Lambda(POINT)
     for n in SIZES:
         rng = np.random.default_rng(500 + n)
@@ -91,6 +95,11 @@ def measure(src: str) -> dict:
         }
         for name, fn in cases.items():
             out.setdefault(name, {})[f"n{n}"] = median_call(fn)
+        out.setdefault("relation_residual", {})[f"n{n}"] = (
+            None
+            if relation_residual is None
+            else median_call(lambda: relation_residual(D))
+        )
     for n in KERNEL_SIZES:
         k = kernel_sample(DiagZero(1), n, seed=600 + n, count=1, deg=2)[0]
         out.setdefault("kernel_square_witness", {})[f"n{n}"] = median_call(
@@ -161,7 +170,10 @@ def main() -> int:
                     row.setdefault(label, []).append(seconds)
     layers = {
         name: {
-            size: {label: statistics.median(v) for label, v in row.items()}
+            size: {
+                label: None if None in v else statistics.median(v)
+                for label, v in row.items()
+            }
             for size, row in by_n.items()
         }
         for name, by_n in runs.items()

@@ -3,7 +3,9 @@
 Commands
   eval            evaluate an element at a representation point
   inner-check     classify point-derivation data as inner / not_inner /
-                  indeterminate, with witness or kernel certificate
+                  indeterminate, with witness or kernel certificate; the
+                  Leibniz gate is decided on the 3n^2 defining relations
+                  (``leibniz_residual``, ``leibniz_relation``)
   reconstruct     run the boundary-field pipeline on global derivation data
   suite           run every library invariant and summarize
   approx-identity boundary approximate identity convergence report
@@ -31,12 +33,12 @@ from .derivations import (
     GenDerivation,
     boundary_approx_identity,
     canonical_kernel_elements,
-    check_leibniz,
     decompose_at_zero,
     decompose_experiment,
     gen_derivation_from_json,
     inner_solve,
     kernel_vanishing_test,
+    relation_residual,
 )
 from .errors import CycleAlgebraError, NotInAlgebra, NotLocallyInner
 from .poly import complex_from_json, int_from_json
@@ -129,13 +131,12 @@ def _cmd_inner_check(args) -> tuple[int, dict]:
     D = gen_derivation_from_json(doc)
     _check_n(args, D.n)
     tol = args.tol_inner if args.tol_inner is not None else config.TOL_INNER
-    leibniz = check_leibniz(
-        D.apply, D.point, D.n, trials=40, seed=args.seed, stop_above=1.0
-    )
+    leibniz, relation = relation_residual(D)
     report: dict = {
         "point": point_to_json(D.point),
         "n": D.n,
         "leibniz_residual": leibniz,
+        "leibniz_relation": relation,
         "tol_inner": tol,
     }
     if leibniz > _LEIBNIZ_GATE:

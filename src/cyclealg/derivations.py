@@ -6,6 +6,18 @@ map is determined by its values on the 2n generators; ``GenDerivation``
 stores those values and extends them to arbitrary elements along canonical
 monomials, which walk the cycle with arrow steps.
 
+Generator data extends to a point derivation exactly when the Leibniz rule
+holds on the defining relations of the path algebra of the directed n-cycle
+(0-based indices, Z_j runs from vertex j to vertex j + 1 mod n):
+
+    e_i e_j = delta_ij e_i,
+    e_k Z_j = delta_kj Z_j,
+    Z_j e_k = delta_{k,j+1} Z_j.
+
+``relation_residual`` measures the worst defect over these 3n^2 relations;
+``check_leibniz`` samples random element pairs instead and accepts any
+callable, so it can test independent implementations.
+
 The solvers below decide whether given derivation data is inner, i.e. of the
 form a -> phi(a) X - X phi(a), produce the witness X when it is, certify
 non-inner data through kernel samples, and build the explicit approximate
@@ -37,6 +49,7 @@ __all__ = [
     "delta_X",
     "F_point_derivation",
     "check_leibniz",
+    "relation_residual",
     "inner_solve",
     "InnerSolveResult",
     "kernel_vanishing_test",
@@ -240,6 +253,42 @@ def check_leibniz(
         if stop_above is not None and worst >= stop_above:
             break
     return worst
+
+
+def relation_residual(D: GenDerivation) -> tuple[float, str]:
+    """Worst Leibniz defect of the data over the 3n^2 defining relations.
+
+    For each relation ab = c of the path algebra (see the module docstring)
+    the defect is the spectral norm of D(c) - D(a) phi(b) - phi(a) D(b).
+    The data extends to a point derivation exactly when every defect is
+    zero.  Returns the worst defect and the relation that attains it, e.g.
+    ``"e_0 Z_0 = Z_0"`` or ``"Z_1 e_0 = 0"`` (0-based indices).
+    """
+    n = D.n
+    if isinstance(D.point, Lambda):
+        Pe, PZ = map(np.array, phi_generator_values(n, D.point.value))
+    else:  # DiagZero(i): e_k -> delta_{k,i-1}, every arrow -> 0
+        Pe, PZ = np.zeros((2, n, 1, 1), complex)
+        Pe[D.point.i - 1] = 1.0
+    Ve, VZ = np.array(D.values_e), np.array(D.values_Z)
+    same = np.eye(n)[:, :, None, None]  # [a, b] -> delta_ab
+    step = np.roll(same, 1, axis=1)  # [j, k] -> delta_{k,j+1}
+    defects = np.stack(
+        [
+            # [i, j]: e_i e_j = delta_ij e_i
+            same * Ve[:, None] - Ve[:, None] @ Pe - Pe[:, None] @ Ve,
+            # [k, j]: e_k Z_j = delta_kj Z_j
+            same * VZ - Ve[:, None] @ PZ - Pe[:, None] @ VZ,
+            # [j, k]: Z_j e_k = delta_{k,j+1} Z_j
+            step * VZ[:, None] - VZ[:, None] @ Pe - PZ[:, None] @ Ve,
+        ]
+    )
+    norms = np.linalg.norm(defects, 2, axis=(-2, -1))
+    family, a, b = np.unravel_index(np.argmax(norms), norms.shape)
+    left = ("e_{} e_{}", "e_{} Z_{}", "Z_{} e_{}")[family].format(a, b)
+    kept = (f"e_{a}", f"Z_{b}", f"Z_{a}")[family]
+    keeps = (same, same, step)[family][a, b, 0, 0]
+    return float(norms[family, a, b]), f"{left} = {kept if keeps else 0}"
 
 
 @dataclass(frozen=True)

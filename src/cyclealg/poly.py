@@ -207,10 +207,15 @@ def complex_from_json(re, im=0.0, name: str = "number") -> complex:
     Each part must be a finite real number.  Booleans, strings, non-finite
     values and integers too large for a float are rejected.
     """
-    return complex(_float_from_json(re, name), _float_from_json(im, name))
+    return complex(float_from_json(re, name), float_from_json(im, name))
 
 
-def _float_from_json(x, name: str) -> float:
+def float_from_json(x, name: str) -> float:
+    """A finite real number read from JSON.
+
+    Booleans, strings, non-finite values and integers too large for a float
+    are rejected with ``ValueError``.
+    """
     if type(x) is not float:  # a JSON float needs only the finiteness test
         if isinstance(x, bool) or not isinstance(x, Real):
             raise ValueError(f"{name} must be a finite number, got {x!r}")
@@ -219,7 +224,7 @@ def _float_from_json(x, name: str) -> float:
         except OverflowError:
             raise ValueError(f"{name} is too large for a float") from None
     if not math.isfinite(x):
-        raise ValueError(f"{name} must be a finite number, got {x!r}")
+        raise ValueError(f"{name} must be finite, got {x!r}")
     return x
 
 

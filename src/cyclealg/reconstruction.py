@@ -31,7 +31,8 @@ from .algebra import (
 from .derivations import GenDerivation, _inner_solve_core
 from .errors import DegreeOverflow, DimensionMismatch, GridTooSmall
 from .errors import NotLocallyInner
-from .poly import Poly, int_from_json, interpolate_roots_of_unity
+from .poly import Poly, float_from_json, int_from_json
+from .poly import interpolate_roots_of_unity
 from .representations import (
     Lambda,
     eval_rep,
@@ -212,13 +213,15 @@ def boundary_field_from_json(data: dict) -> BoundaryField:
         n = int_from_json(data["n"], "n", 1)
         m = int_from_json(data["m"], "m", 1)
         X_at = np.stack([matc_from_json(x) for x in data["X_at"]])
-        max_residual = float(data.get("max_residual", 0.0))
+        max_residual = float_from_json(
+            data.get("max_residual", 0.0), "max_residual"
+        )
     except TypeError as exc:
         raise ValueError(f"malformed boundary field JSON: {exc}") from exc
     if X_at.shape != (m, n, n):
         raise ValueError("boundary field payload has wrong shape")
-    if not np.isfinite(max_residual):
-        raise ValueError("max_residual must be finite")
+    if max_residual < 0:
+        raise ValueError(f"max_residual must be >= 0, got {max_residual!r}")
     return BoundaryField(n, m, X_at, max_residual)
 
 

@@ -198,6 +198,44 @@ def test_inner_check_indeterminate_on_non_derivation(tmp_path, capsys):
     assert report["leibniz_residual"] > 1e-6
 
 
+def test_inner_check_gate_does_not_depend_on_seed(tmp_path, capsys):
+    # the Leibniz gate reads the 3n^2 defining relations, not random
+    # element pairs, so only the echoed seed differs between the reports
+    path = write(tmp_path, "in.json", inner_data(n=3, lam=0.4 + 0.1j))
+    code, out0, _ = run(capsys, ["inner-check", "--input", path])
+    assert code == 0
+    code, out7, _ = run(
+        capsys, ["inner-check", "--input", path, "--seed", "7"]
+    )
+    assert code == 0
+    assert '"seed": 7' in out7
+    assert out7.replace('"seed": 7', '"seed": 0') == out0
+    report = json.loads(out0)
+    assert report["verdict"] == "inner"
+    assert report["leibniz_residual"] == 0.0
+    assert report["leibniz_relation"] == "e_0 e_0 = e_0"
+
+
+def test_inner_check_names_the_broken_relation(tmp_path, capsys):
+    # at the character of vertex 1 (0-based) of the 2-cycle the arrow Z_1
+    # leaves vertex 1 and enters vertex 0, so Z_1 e_0 = Z_1 demands
+    # D(Z_1) = D(Z_1) phi(e_0) = 0; the report names that relation
+    zero_vals = [[[0.0, 0.0]]] * 2
+    doc = {
+        "point": {"kind": "diag0", "i": 2},
+        "values_e": zero_vals,
+        "values_Z": [[[0.0, 0.0]], [[0.25, 0.0]]],
+    }
+    code, out, _ = run(
+        capsys, ["inner-check", "--input", write(tmp_path, "in.json", doc)]
+    )
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdict"] == "indeterminate"
+    assert report["leibniz_residual"] == pytest.approx(0.25, rel=1e-15)
+    assert report["leibniz_relation"] == "Z_1 e_0 = Z_1"
+
+
 def test_inner_check_split_at_center(tmp_path, capsys):
     rng = np.random.default_rng(2)
     X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -324,6 +362,21 @@ def test_reconstruct_field_rejects_non_finite_residual(tmp_path, capsys, bad):
     assert code == 2
     assert out == ""
     assert "max_residual must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "bad", [True, "1", -1.0, 10**400],
+    ids=["bool", "string", "negative", "huge-int"],
+)
+def test_reconstruct_field_reads_max_residual_strictly(tmp_path, capsys, bad):
+    D = GlobalDerivation.from_commutator(gen_Z(2, 1))
+    doc = solve_boundary_field(D, m=16, deg_max=4).to_json()
+    doc["max_residual"] = bad
+    path = write(tmp_path, "field.json", doc)
+    code, out, err = run(capsys, ["reconstruct", "--input", path])
+    assert code == 2
+    assert out == ""
+    assert "max_residual" in json.loads(err)["error"]
 
 
 def test_reconstruct_corrupted_field_names_entry(tmp_path, capsys):

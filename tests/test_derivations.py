@@ -25,6 +25,7 @@ from cyclealg.derivations import (
     gen_derivation_from_json,
     inner_solve,
     kernel_vanishing_test,
+    relation_residual,
 )
 from cyclealg.errors import DimensionMismatch
 from cyclealg.poly import Poly
@@ -178,6 +179,209 @@ def test_leibniz_early_exit():
     fake = lambda a: eval_rep(point, a)
     value = check_leibniz(fake, point, 2, trials=500, seed=3, stop_above=1e-4)
     assert value >= 1e-4
+
+
+# ----------------------------------------------------------------------
+# the Leibniz rule on the 3n^2 defining relations
+# ----------------------------------------------------------------------
+
+GATE = 1e-6  # the inner-check Leibniz gate
+
+
+def derivative_derivation(point, n):
+    lam = point.value
+    es, Zs = generators(n)
+    return GenDerivation(
+        point,
+        tuple(F_point_derivation(lam, e) for e in es),
+        tuple(F_point_derivation(lam, Z) for Z in Zs),
+    )
+
+
+def diag0_data(n, i, arrow=0.0, j=None):
+    """Data at DiagZero(i): zero except D(Z_j) = arrow (j defaults to i-1)."""
+    zeros = [np.zeros((1, 1), complex) for _ in range(n)]
+    arrows = list(zeros)
+    arrows[i - 1 if j is None else j] = np.array([[arrow]], dtype=complex)
+    return GenDerivation(DiagZero(i), tuple(zeros), tuple(arrows))
+
+
+def random_data(rng, point, n):
+    dim = n if isinstance(point, Lambda) else 1
+    return GenDerivation(
+        point,
+        tuple(random_matrix(rng, dim) for _ in range(n)),
+        tuple(random_matrix(rng, dim) for _ in range(n)),
+    )
+
+
+def agreement_cases(n):
+    """Commutator, F-derivative and random data at lambda = 0, 0.4+0.1i and
+    e^{0.9i}; zero, arrow-only and random data at every DiagZero(i)."""
+    rng = np.random.default_rng(80 + n)
+    cases = []
+    for lam in (0.0, 0.4 + 0.1j, np.exp(0.9j)):
+        point = Lambda(lam)
+        cases.append(
+            GenDerivation.from_commutator(point, random_matrix(rng, n), n)
+        )
+        cases.append(derivative_derivation(point, n))
+        cases.append(random_data(rng, point, n))
+    for i in range(1, n + 1):
+        arrow = complex(rng.normal(), rng.normal())
+        cases += [diag0_data(n, i), diag0_data(n, i, arrow)]
+        cases.append(random_data(rng, DiagZero(i), n))
+    return cases
+
+
+def relation_defects_oracle(D: GenDerivation) -> dict[str, float]:
+    """Every relation defect, through real products of generator elements.
+
+    Names the product of each generator pair by comparing it with the
+    generators, and evaluates D(ab) - D(a) phi(b) - phi(a) D(b) with the
+    closed-form extension and the representation.
+    """
+    n = D.n
+    es, Zs = generators(n)
+    named = [(f"e_{i}", g) for i, g in enumerate(es)]
+    named += [(f"Z_{i}", g) for i, g in enumerate(Zs)]
+    pairs = [(named[i], named[j]) for i in range(n) for j in range(n)]
+    pairs += [(named[k], named[n + j]) for k in range(n) for j in range(n)]
+    pairs += [(named[n + j], named[k]) for j in range(n) for k in range(n)]
+    defects = {}
+    for (a_name, a), (b_name, b) in pairs:
+        ab = mul_elem(a, b)
+        kept = [name for name, g in named if ab == g]
+        assert kept or ab.is_zero
+        phi_a, phi_b = eval_rep(D.point, a), eval_rep(D.point, b)
+        defect = D.apply(ab) - D.apply(a) @ phi_b - phi_a @ D.apply(b)
+        name = f"{a_name} {b_name} = {kept[0] if kept else 0}"
+        defects[name] = float(np.linalg.norm(defect, 2))
+    return defects
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_relation_gate_agrees_with_sampled_leibniz(n):
+    cases = agreement_cases(n)
+    assert len(cases) == 9 + 3 * n  # 117 cases over n = 1..6
+    for D in cases:
+        exact, _ = relation_residual(D)
+        sampled = check_leibniz(
+            D.apply, D.point, n, trials=40, stop_above=1.0
+        )
+        assert (exact <= GATE) == (sampled <= GATE), (D.point, exact, sampled)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_relation_residual_matches_product_oracle(n):
+    rng = np.random.default_rng(90 + n)
+    points = [Lambda(0.0), Lambda(0.4 + 0.1j), Lambda(np.exp(0.9j))]
+    points += [DiagZero(i) for i in range(1, n + 1)]
+    for point in points:
+        D = random_data(rng, point, n)
+        defects = relation_defects_oracle(D)
+        assert len(defects) == 3 * n * n
+        worst = max(defects, key=defects.get)
+        value, relation = relation_residual(D)
+        assert value == pytest.approx(defects[worst], rel=1e-12)
+        assert relation == worst
+
+
+def broken(defects, eps):
+    return {name for name, value in defects.items() if value > eps / 2}
+
+
+@pytest.mark.parametrize("i, c", [(0, 1), (0, 2), (1, 0), (2, 1)])
+def test_broken_idempotent_relation_is_named(i, c):
+    # at lambda = 0 the arrows act as zero, so a stray entry in row i of
+    # D(e_i) breaks e_i e_c alone
+    rng = np.random.default_rng(95)
+    D0 = GenDerivation.from_commutator(Lambda(0.0), random_matrix(rng, 3), 3)
+    values_e = [v.copy() for v in D0.values_e]
+    values_e[i][i, c] += 1e-3
+    D = GenDerivation(D0.point, tuple(values_e), D0.values_Z)
+    assert broken(relation_defects_oracle(D), 1e-3) == {f"e_{i} e_{c} = 0"}
+    value, relation = relation_residual(D)
+    assert relation == f"e_{i} e_{c} = 0"
+    assert value == pytest.approx(1e-3, rel=1e-9)
+
+
+@pytest.mark.parametrize("n, i", [(1, 1), (2, 2), (3, 1), (3, 3)])
+def test_broken_idempotent_relation_at_a_vertex_character(n, i):
+    values_e = [np.zeros((1, 1), complex) for _ in range(n)]
+    values_e[i - 1] = np.array([[2e-3]])
+    D = GenDerivation(DiagZero(i), tuple(values_e), diag0_data(n, i).values_Z)
+    name = f"e_{i - 1} e_{i - 1} = e_{i - 1}"
+    assert broken(relation_defects_oracle(D), 2e-3) == {name}
+    assert relation_residual(D) == (2e-3, name)
+
+
+@pytest.mark.parametrize("j, r", [(0, 1), (1, 2), (2, 0), (2, 1)])
+def test_broken_vertex_arrow_relation_is_named(j, r):
+    # sum_k e_k Z_j = Z_j ties the e_k Z_j defects together: they sum to
+    # -(sum_k D(e_k)) phi(Z_j), so with the idempotent relations intact
+    # they break in pairs.  A stray entry (r, j+1) in D(Z_j) breaks exactly
+    # e_j Z_j and e_r Z_j.
+    rng = np.random.default_rng(96)
+    point = Lambda(0.4 + 0.1j)
+    D0 = GenDerivation.from_commutator(point, random_matrix(rng, 3), 3)
+    values_Z = [v.copy() for v in D0.values_Z]
+    values_Z[j][r, (j + 1) % 3] += 1e-3
+    D = GenDerivation(point, D0.values_e, tuple(values_Z))
+    pair = {f"e_{j} Z_{j} = Z_{j}", f"e_{r} Z_{j} = 0"}
+    assert broken(relation_defects_oracle(D), 1e-3) == pair
+    value, relation = relation_residual(D)
+    assert relation in pair
+    assert value == pytest.approx(1e-3, rel=1e-9)
+
+
+@pytest.mark.parametrize("j, c", [(0, 0), (0, 2), (1, 0), (2, 2)])
+def test_broken_arrow_vertex_relation_is_named(j, c):
+    # the mirror image: a stray entry (j, c) with c != j+1 in D(Z_j) breaks
+    # exactly Z_j e_{j+1} and Z_j e_c
+    rng = np.random.default_rng(97)
+    point = Lambda(np.exp(0.9j))
+    D0 = GenDerivation.from_commutator(point, random_matrix(rng, 3), 3)
+    values_Z = [v.copy() for v in D0.values_Z]
+    values_Z[j][j, c] += 1e-3
+    D = GenDerivation(point, D0.values_e, tuple(values_Z))
+    nxt = (j + 1) % 3
+    pair = {f"Z_{j} e_{nxt} = Z_{j}", f"Z_{j} e_{c} = 0"}
+    assert broken(relation_defects_oracle(D), 1e-3) == pair
+    value, relation = relation_residual(D)
+    assert relation in pair
+    assert value == pytest.approx(1e-3, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_derivations_pass_the_relations(n):
+    rng = np.random.default_rng(100 + n)
+    for lam in (0.0, 0.4 + 0.1j, -0.7j, np.exp(0.9j), 1.0):
+        point = Lambda(lam)
+        D = GenDerivation.from_commutator(point, random_matrix(rng, n), n)
+        assert relation_residual(D)[0] <= 1e-12
+        assert relation_residual(derivative_derivation(point, n))[0] <= 1e-12
+    for i in range(1, n + 1):
+        X = random_matrix(rng, 1)
+        D = GenDerivation.from_commutator(DiagZero(i), X, n)
+        assert relation_residual(D)[0] == 0.0
+
+
+def test_every_arrow_passes_at_the_character_for_n_1():
+    for arrow in (0.0, 1.0, -3 + 2j, 1e-9, 1e6):
+        assert relation_residual(diag0_data(1, 1, arrow))[0] == 0.0
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_every_nonzero_arrow_fails_at_a_character(n):
+    # rigidity: for n >= 2 the relations e_j Z_j = Z_j and Z_j e_{j+1} = Z_j
+    # cannot both hold at a vertex character unless D(Z_j) = 0
+    for i in range(1, n + 1):
+        for j in range(n):
+            for arrow in (1.0, -3 + 2j, 1e-5, 1e-9):
+                value, _ = relation_residual(diag0_data(n, i, arrow, j))
+                assert value == pytest.approx(abs(arrow), rel=1e-15)
+                assert (value > GATE) == (abs(arrow) > GATE)
 
 
 # ----------------------------------------------------------------------
