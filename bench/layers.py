@@ -1,7 +1,7 @@
 """Per-layer timings of the point-derivation path, one column per checkout.
 
     python bench/layers.py --column parent=../parent/src --column change=src \
-        --out BENCH_7.json
+        --out BENCH_8.json
 
 Each ``--column LABEL=SRC`` imports ``cyclealg`` from the directory SRC in
 a fresh interpreter (BLAS pinned to one thread) and times, at n = 1, 2, 4
@@ -16,7 +16,12 @@ and 6 on fixed seeded inputs:
 - ``random_element(deg=6, normalize=True)``,
 - ``mul_elem`` of two degree-6 elements,
 - ``kernel_square_witness`` with budget 2 on a degree-2 kernel sample at
-  ``DiagZero(1)``, at n = 2, 3, 4 and 6 instead.
+  ``DiagZero(1)``, at n = 2, 3, 4 and 6 instead,
+- the ``approx-identity`` command through ``cli.main`` (report written to
+  the null device) at lambda = exp(0.7i), k = 1, 2, 4, ..., 4096, on the
+  default grid and the canonical kernel elements, at n = 1, 2 and 3
+  instead; the command line is the same in every checkout, whatever the
+  library signature behind it.
 
 Within one interpreter a timing is the median over 7 repeats of the
 per-call time; each repeat runs as many calls as ``timeit`` needs to last at
@@ -40,6 +45,8 @@ from pathlib import Path
 
 SIZES = (1, 2, 4, 6)
 KERNEL_SIZES = (2, 3, 4, 6)
+LADDER_SIZES = (1, 2, 3)
+LADDER = [2**j for j in range(13)]  # 1 .. 4096
 REPEATS = 7
 ROUNDS = 3
 DEG = 6
@@ -50,11 +57,12 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 def measure(src: str) -> dict:
     """Median per-call seconds of each layer at each n, imported from src."""
     sys.path.insert(0, str(Path(src).resolve()))
+    import tempfile
     import timeit
 
     import numpy as np
 
-    from cyclealg import derivations
+    from cyclealg import cli, derivations
     from cyclealg.algebra import mul_elem, random_element
     from cyclealg.derivations import GenDerivation, check_leibniz
     from cyclealg.representations import (
@@ -105,6 +113,19 @@ def measure(src: str) -> dict:
         out.setdefault("kernel_square_witness", {})[f"n{n}"] = median_call(
             lambda: kernel_square_witness(DiagZero(1), k, budget=2)
         )
+    lam = complex(np.exp(0.7j))
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in LADDER_SIZES:
+            path = Path(tmp, f"ladder{n}.json")
+            doc = {"lambda": [lam.real, lam.imag], "n": n, "k_values": LADDER}
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            argv = ["approx-identity", "--input", str(path)]
+            argv += ["--output", os.devnull]
+            if cli.main(argv) != 0:
+                raise RuntimeError(f"approx-identity failed at n = {n}")
+            out.setdefault("approx-identity", {})[f"n{n}"] = median_call(
+                lambda: cli.main(argv)
+            )
     return out
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "parse_realized",
     "random_element",
     "element_from_json",
+    "grid_norms",
     "norm",
 ]
 
@@ -321,15 +322,24 @@ def parse_realized(realized, n: int | None = None) -> CycleElement:
     return CycleElement(size, tuple(rows))
 
 
-def norm(a: CycleElement, grid: int = config.NORM_GRID) -> float:
-    """Max operator norm over equispaced unit-circle points.
+def grid_norms(a: CycleElement, grid: int = config.NORM_GRID) -> np.ndarray:
+    """Operator norm of the realized matrix at each grid point.
 
-    A dense lower bound for the sup norm of the realized matrix function; the
-    default grid has 512 points.
+    Entry t is the largest singular value at exp(2*pi*i*t/grid), taken in
+    one batched singular-value decomposition over the grid.
     """
     values = eval_at_unit_roots(a.realized_coeffs(), grid)
     stacked = np.moveaxis(values, 2, 0)
-    return float(np.linalg.svd(stacked, compute_uv=False).max())
+    return np.linalg.svd(stacked, compute_uv=False)[:, 0]
+
+
+def norm(a: CycleElement, grid: int = config.NORM_GRID) -> float:
+    """Max operator norm over equispaced unit-circle points.
+
+    The max of ``grid_norms``: a dense lower bound for the sup norm of the
+    realized matrix function; the default grid has 512 points.
+    """
+    return float(grid_norms(a, grid).max())
 
 
 def random_element(

@@ -256,43 +256,15 @@ def _cmd_approx_identity(args) -> tuple[int, dict]:
         k_values = [int_from_json(k, "k", 1) for k in doc["k_values"]]
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise _InputError(f"malformed approx-identity input: {exc}") from exc
-    if not k_values:
-        raise _InputError("k_values must be nonempty")
     _check_n(args, n)
     if "kernel_elements" in doc:
         elems = [element_from_json(e) for e in doc["kernel_elements"]]
     else:
         elems = canonical_kernel_elements(n, lam)
-    grid = args.grid or 4099
-    rows = []
-    ok = True
-    prev = None
-    for k in sorted(k_values):
-        _, rep = boundary_approx_identity(
-            lam, k, n, kernel_elems=elems, norm_grid=grid
-        )
-        worst = max(rep["residuals"]) if rep["residuals"] else 0.0
-        rows.append(
-            {
-                "k": k,
-                "norm_F": rep["norm_F"],
-                "kernel_value_F": rep["kernel_value_F"],
-                "residuals": rep["residuals"],
-                "worst_residual": worst,
-            }
-        )
-        if rep["norm_F"] > 2 + 1e-9 or rep["kernel_value_F"] > 1e-12:
-            ok = False
-        if prev is not None and worst > prev + 1e-12:
-            ok = False
-        prev = worst
-    return (0 if ok else 1), {
-        "lambda": [lam.real, lam.imag],
-        "n": n,
-        "grid": grid,
-        "monotone_and_bounded": ok,
-        "rows": rows,
-    }
+    _, report = boundary_approx_identity(
+        lam, k_values, n, kernel_elems=elems, norm_grid=args.grid or 4099
+    )
+    return (0 if report["monotone_and_bounded"] else 1), report
 
 
 def _cmd_semisimple(args) -> tuple[int, dict]:

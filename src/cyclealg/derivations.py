@@ -21,7 +21,9 @@ callable, so it can test independent implementations.
 The solvers below decide whether given derivation data is inner, i.e. of the
 form a -> phi(a) X - X phi(a), produce the witness X when it is, certify
 non-inner data through kernel samples, and build the explicit approximate
-identity used at boundary points.
+identity used at boundary points.  That identity F_k = h_k(w) 1 is central,
+so ``boundary_approx_identity`` reads every residual ||F_k a - a|| of its k
+ladder as |h_k - 1| ||a|| on the grid, without forming a product.
 """
 
 from __future__ import annotations
@@ -33,9 +35,15 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import config
-from .algebra import CycleElement, diagonal, mul_elem, random_element
+from .algebra import (
+    CycleElement,
+    diagonal,
+    grid_norms,
+    mul_elem,
+    random_element,
+)
 from .errors import DimensionMismatch
-from .poly import Poly, powers
+from .poly import Poly, eval_at_unit_roots, powers
 from .representations import (
     DiagZero,
     Lambda,
@@ -491,52 +499,99 @@ def canonical_kernel_elements(n: int, lam: complex) -> list[CycleElement]:
 
 def boundary_approx_identity(
     lam: complex,
-    k: int,
+    k_values: Sequence[int],
     n: int,
     kernel_elems: Sequence[CycleElement] = (),
     norm_grid: int = 4099,
-) -> tuple[CycleElement, dict]:
-    """Approximate identity for the kernel ideal at a boundary point.
+) -> tuple[list[CycleElement], dict]:
+    """Approximate identity ladder for the kernel ideal at a boundary point.
 
-    For |lam| = 1 the diagonal element F_k with entry
-    1 - ((1 + conj(lam**n) w) / 2)**k lies in the kernel at Lambda(lam),
-    stays uniformly bounded by 2 on the circle, and F_k a -> a for kernel
-    elements a as k grows.  Returns F_k and a report with its grid norm and
-    the residuals ||F_k a - a|| for each supplied kernel element.  The
-    default grid size is prime so it cannot phase-lock with the k-th power
-    pattern and under-read the norm.
+    For |lam| = 1 the diagonal element F_k = h_k(w) 1 with
+    h_k = 1 - ((1 + conj(lam**n) w) / 2)**k lies in the kernel at
+    Lambda(lam), stays uniformly bounded by 2 on the circle, and F_k a -> a
+    for kernel elements a as k grows.  F_k is central, so F_k a - a is
+    (h_k - 1) a and its operator norm at a grid point z is
+    |h_k(z**n) - 1| ||a(z)||: each element needs one batched grid norm and
+    each k one transform of h_k.
+
+    Returns F_k for each k in ascending order and a report with one row per
+    k: ``norm_F`` (grid norm of F_k), ``kernel_value_F`` (its value at the
+    point), the ``residuals`` ||F_k a - a|| on the grid and their
+    ``worst_residual``.  ``monotone_and_bounded`` holds when every
+    ``norm_F`` <= 2 + 1e-9, every ``kernel_value_F`` <= 1e-12 and the worst
+    residual never grows by more than 1e-12 along the ladder.  A supplied
+    element whose value at the point exceeds 1e-12 * max(1, its grid norm)
+    is not in the kernel and raises ``ValueError``.  The default grid size
+    is prime so it cannot phase-lock with the k-th power pattern and
+    under-read the norm.
     """
-    if not abs(abs(complex(lam)) - 1.0) <= 1e-12:  # also rejects NaN
+    lam = complex(lam)
+    if not abs(abs(lam) - 1.0) <= 1e-12:  # also rejects NaN
         raise ValueError("approximate identity lives over boundary points")
-    if k < 1:
+    ks = sorted(k_values)
+    if not ks:
+        raise ValueError("k_values must be nonempty")
+    if ks[0] < 1:
         raise ValueError("index k must be >= 1")
-    w0 = complex(lam) ** n
-    bump = Poly([0.5, 0.5 * np.conj(w0)]) ** k
-    h = Poly.one() - bump
-    # h(w0) is 0 exactly; the stored tail is trimmed and rounded, so shift
-    # the constant coefficient (1 - 2**-k, never trimmed) below the
-    # canonicalization threshold to keep the kernel membership at float
-    # precision.  The defect is summed on the powers of lam, as eval_rep
-    # does: Horner in the rounded w0 missed it by up to about k * n * eps
-    defect = h.coeffs @ powers(lam, n * h.degree + 1)[::n]
-    coeffs = h.coeffs.copy()
-    coeffs[0] -= defect
-    h = Poly(coeffs)
-    F = diagonal(n, h)
     point = Lambda(lam)
-    report = {
-        "k": k,
-        "lambda": [complex(lam).real, complex(lam).imag],
-        "norm_F": F.norm(norm_grid),
-        "kernel_value_F": float(np.max(np.abs(eval_rep(point, F)))),
-        "residuals": [],
-        "sample_kernel_values": [],
+    elem_norms = []
+    for index, a in enumerate(kernel_elems):
+        if a.n != n:
+            raise DimensionMismatch(
+                f"kernel element {index} has n = {a.n}, ladder has n = {n}"
+            )
+        norms = grid_norms(a, norm_grid)
+        value = float(np.max(np.abs(eval_rep(point, a))))
+        if value > 1e-12 * max(1.0, float(norms.max())):
+            raise ValueError(
+                f"kernel element {index} is not in the kernel: its value "
+                f"at lambda has modulus {value:.3e}"
+            )
+        elem_norms.append(norms)
+    # grid point t carries z**n = the grid point n * t mod norm_grid
+    fold = n * np.arange(norm_grid) % norm_grid
+    w0 = lam**n
+    Fs = []
+    rows = []
+    ok = True
+    prev = None
+    for k in ks:
+        bump = Poly([0.5, 0.5 * np.conj(w0)]) ** k
+        h = Poly.one() - bump
+        # h(w0) is 0 exactly; the stored tail is trimmed and rounded, so
+        # shift the constant coefficient (1 - 2**-k, never trimmed) below
+        # the canonicalization threshold to keep the kernel membership at
+        # float precision.  The defect is summed on the powers of lam, as
+        # eval_rep does: Horner in the rounded w0 missed it by up to about
+        # k * n * eps
+        defect = h.coeffs @ powers(lam, n * h.degree + 1)[::n]
+        coeffs = h.coeffs.copy()
+        coeffs[0] -= defect
+        h = Poly(coeffs)
+        F = diagonal(n, h)
+        shifted = h.coeffs.copy()
+        shifted[0] -= 1.0
+        gap = np.abs(eval_at_unit_roots(shifted, norm_grid))[fold]
+        residuals = [float(np.max(gap * norms)) for norms in elem_norms]
+        worst = max(residuals, default=0.0)
+        row = {
+            "k": k,
+            "norm_F": F.norm(norm_grid),
+            "kernel_value_F": float(np.max(np.abs(eval_rep(point, F)))),
+            "residuals": residuals,
+            "worst_residual": worst,
+        }
+        if row["norm_F"] > 2 + 1e-9 or row["kernel_value_F"] > 1e-12:
+            ok = False
+        if prev is not None and worst > prev + 1e-12:
+            ok = False
+        prev = worst
+        Fs.append(F)
+        rows.append(row)
+    return Fs, {
+        "lambda": [lam.real, lam.imag],
+        "n": n,
+        "grid": norm_grid,
+        "monotone_and_bounded": ok,
+        "rows": rows,
     }
-    for a in kernel_elems:
-        cap = h.degree + a.max_degree + 2
-        diff = mul_elem(F, a, deg_max=cap) - a
-        report["residuals"].append(diff.norm(norm_grid))
-        report["sample_kernel_values"].append(
-            float(np.max(np.abs(eval_rep(point, a))))
-        )
-    return F, report

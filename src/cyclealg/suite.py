@@ -430,21 +430,17 @@ def _check_boundary_identity(cfg: SuiteConfig):
     worst_final = 0.0
     for lam in (1.0 + 0j, complex(np.exp(0.73j))):
         for n in (1, 2, 3):
-            elems = canonical_kernel_elements(n, lam)
-            prev = None
-            for k in (4, 16, 64, 256, 1024, 4096):
-                _, rep = boundary_approx_identity(
-                    lam, k, n, kernel_elems=elems
-                )
-                bad = max(rep["residuals"])
-                if rep["norm_F"] > 2 + 1e-9:
-                    return rep["norm_F"], 0.02, "<=", "norm bound broken"
-                if rep["kernel_value_F"] > 1e-12:
-                    return 1.0, 0.02, "<=", "F_k left the kernel"
-                if prev is not None and bad > prev + 1e-12:
-                    return bad, 0.02, "<=", f"residual grew at k={k}"
-                prev = bad
-            worst_final = max(worst_final, bad)
+            _, rep = boundary_approx_identity(
+                lam,
+                (4, 16, 64, 256, 1024, 4096),
+                n,
+                kernel_elems=canonical_kernel_elements(n, lam),
+            )
+            if not rep["monotone_and_bounded"]:
+                return 1.0, 0.02, "<=", f"ladder failed at n={n}"
+            worst_final = max(
+                worst_final, rep["rows"][-1]["worst_residual"]
+            )
     return worst_final, 0.02, "<=", "kernel approximate identity converges"
 
 

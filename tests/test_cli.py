@@ -498,6 +498,58 @@ def test_approx_identity_rejects_bad_k(tmp_path, capsys, k_values):
     assert "malformed approx-identity input: k must be" in err
 
 
+def test_approx_identity_rejects_element_outside_the_kernel(
+    tmp_path, capsys
+):
+    # the identity is 1 at lambda = 1; every residual read 1.0 and the
+    # ladder passed with exit 0
+    doc = {
+        "lambda": [1.0, 0.0],
+        "n": 2,
+        "k_values": [4, 16],
+        "kernel_elements": [identity(2).to_json()],
+    }
+    path = write(tmp_path, "in.json", doc)
+    code, out, err = run(capsys, ["approx-identity", "--input", path])
+    assert code == 2
+    assert out == ""
+    message = json.loads(err)["error"]
+    assert "kernel element 0 is not in the kernel" in message
+    assert "1.000e+00" in message
+
+
+def test_approx_identity_names_the_element_outside_the_kernel(
+    tmp_path, capsys
+):
+    z = gen_e(2, 1).to_json()
+    z["entries"][0][0] = [[-1.0, 0.0], [1.0, 0.0]]  # w - 1, in the kernel
+    doc = {
+        "lambda": [1.0, 0.0],
+        "n": 2,
+        "k_values": [4],
+        "kernel_elements": [z, gen_e(2, 2).to_json()],
+    }
+    path = write(tmp_path, "in.json", doc)
+    code, out, err = run(capsys, ["approx-identity", "--input", path])
+    assert code == 2 and out == ""
+    assert "kernel element 1 is not in the kernel" in err
+
+
+def test_approx_identity_rejects_element_of_other_size(tmp_path, capsys):
+    element = zero(1).to_json()
+    element["entries"][0][0] = [[-1.0, 0.0], [1.0, 0.0]]  # w - 1
+    doc = {
+        "lambda": [1.0, 0.0],
+        "n": 2,
+        "k_values": [4],
+        "kernel_elements": [element],
+    }
+    path = write(tmp_path, "in.json", doc)
+    code, out, err = run(capsys, ["approx-identity", "--input", path])
+    assert code == 2 and out == ""
+    assert "DimensionMismatch" in err
+
+
 def test_approx_identity_rejects_interior_point(tmp_path, capsys):
     doc = {"lambda": [0.5, 0.0], "n": 2, "k_values": [4]}
     path = write(tmp_path, "in.json", doc)

@@ -9,6 +9,7 @@ from cyclealg.algebra import (
     diagonal,
     gen_Z,
     generators,
+    identity,
     monomial_elem,
     mul_elem,
     random_element,
@@ -584,21 +585,25 @@ def test_diag0_derivative_survives_for_n_1():
 
 def test_approx_identity_frozen_value():
     elems = canonical_kernel_elements(2, 1.0)
-    _, report = boundary_approx_identity(1.0, 64, 2, kernel_elems=elems)
-    assert max(report["residuals"]) == pytest.approx(0.151044, abs=1e-4)
-    assert report["kernel_value_F"] <= 1e-12
-    assert report["norm_F"] <= 2.0 + 1e-9
+    _, report = boundary_approx_identity(1.0, [64], 2, kernel_elems=elems)
+    (row,) = report["rows"]
+    assert max(row["residuals"]) == pytest.approx(0.151044, abs=1e-4)
+    assert row["kernel_value_F"] <= 1e-12
+    assert row["norm_F"] <= 2.0 + 1e-9
 
 
 def test_approx_identity_monotone_decay():
     lam = np.exp(0.4j)
     elems = canonical_kernel_elements(3, lam)
+    Fs, report = boundary_approx_identity(
+        lam, (4, 16, 64, 256), 3, kernel_elems=elems
+    )
+    assert report["monotone_and_bounded"]
     prev = None
-    for k in (4, 16, 64, 256):
-        F, report = boundary_approx_identity(lam, k, 3, kernel_elems=elems)
-        worst = max(report["residuals"])
-        assert report["kernel_value_F"] <= 1e-12
-        assert report["norm_F"] <= 2.0 + 1e-9
+    for F, row in zip(Fs, report["rows"], strict=True):
+        worst = max(row["residuals"])
+        assert row["kernel_value_F"] <= 1e-12
+        assert row["norm_F"] <= 2.0 + 1e-9
         if prev is not None:
             assert worst <= prev + 1e-12
         prev = worst
@@ -614,19 +619,96 @@ def test_approx_identity_lies_in_the_kernel():
         pytest.skip("numpy has no extended precision on this platform")
     lam = np.exp(2.3j)
     for n in (2, 3):
-        F, report = boundary_approx_identity(lam, 4096, n, norm_grid=7)
+        (F,), report = boundary_approx_identity(lam, [4096], n, norm_grid=7)
         coeffs = F.entries[0][0].coeffs.astype(np.clongdouble)
         w0 = np.clongdouble(lam) ** n
         # about 1e-13 at n = 2 when the shift was taken by Horner in w0
         assert abs(np.polynomial.polynomial.polyval(w0, coeffs)) <= 2.5e-14
-        assert report["kernel_value_F"] <= 2.5e-14
+        assert report["rows"][0]["kernel_value_F"] <= 2.5e-14
 
 
 def test_approx_identity_validation():
     with pytest.raises(ValueError):
-        boundary_approx_identity(0.5, 4, 2)
+        boundary_approx_identity(0.5, [4], 2)
     with pytest.raises(ValueError):
-        boundary_approx_identity(1.0, 0, 2)
+        boundary_approx_identity(1.0, [0], 2)
+    with pytest.raises(ValueError, match="nonempty"):
+        boundary_approx_identity(1.0, [], 2)
+
+
+LADDER = [2**j for j in range(13)]  # 1 .. 4096
+
+
+def _product_residual(F, a, grid):
+    """||F a - a|| on the grid through the algebra product."""
+    cap = F.max_degree + a.max_degree + 2
+    return (mul_elem(F, a, deg_max=cap) - a).norm(grid)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_approx_identity_ladder_matches_product_oracle(n):
+    # F_k is central, so the ladder reads ||F_k a - a|| as
+    # |h_k - 1| * ||a|| on the grid; the product path must agree.  On the
+    # composite grid z -> z**n is not one to one for even n
+    for lam, grid in (
+        (1.0 + 0j, 4099),
+        (complex(np.exp(0.73j)), 1024),
+        (complex(np.exp(2.3j)), 1031),
+    ):
+        canonical = canonical_kernel_elements(n, lam)
+        dense = kernel_sample(Lambda(lam), n, seed=40 + n, count=2)
+        Fs, report = boundary_approx_identity(
+            lam, LADDER, n, kernel_elems=canonical + dense, norm_grid=grid
+        )
+        assert report["monotone_and_bounded"]
+        assert [row["k"] for row in report["rows"]] == LADDER
+        for F, row in zip(Fs, report["rows"], strict=True):
+            assert row["norm_F"] == F.norm(grid)  # bit for bit
+            got = row["residuals"]
+            for a, value in zip(canonical, got[:3], strict=True):
+                assert abs(value - _product_residual(F, a, grid)) <= 1e-12
+            for a, value in zip(dense, got[3:], strict=True):
+                # the product path trims coefficients below 1e-9
+                want = _product_residual(F, a, grid)
+                assert abs(value - want) <= 1e-9 * a.norm(grid)
+            assert row["worst_residual"] == max(got)
+
+
+def test_approx_identity_sorts_the_ladder():
+    lam = complex(np.exp(0.73j))
+    elems = canonical_kernel_elements(2, lam)
+    Fs, report = boundary_approx_identity(
+        lam, [64, 4, 16], 2, kernel_elems=elems
+    )
+    sorted_Fs, sorted_report = boundary_approx_identity(
+        lam, [4, 16, 64], 2, kernel_elems=elems
+    )
+    assert report == sorted_report
+    assert [row["k"] for row in report["rows"]] == [4, 16, 64]
+    assert Fs == sorted_Fs
+
+
+def test_approx_identity_rejects_elements_outside_the_kernel():
+    elems = canonical_kernel_elements(2, 1.0)
+    with pytest.raises(ValueError, match="kernel element 1 is not in"):
+        boundary_approx_identity(
+            1.0, [4], 2, kernel_elems=[elems[0], identity(2)]
+        )
+    with pytest.raises(DimensionMismatch, match="kernel element 0"):
+        boundary_approx_identity(
+            1.0, [4], 2, kernel_elems=canonical_kernel_elements(1, 1.0)
+        )
+
+
+def test_approx_identity_kernel_rule_is_relative():
+    # a kernel element scaled up keeps its relative defect near 1e-16, so
+    # it stays accepted although its value at the point passes 1e-12
+    lam = complex(np.exp(2.3j))
+    big = [a * 1e6 for a in canonical_kernel_elements(3, lam)]
+    values = [np.max(np.abs(eval_rep(Lambda(lam), a))) for a in big]
+    assert max(values) > 1e-12
+    _, report = boundary_approx_identity(lam, [4, 4096], 3, kernel_elems=big)
+    assert report["monotone_and_bounded"]
 
 
 # ----------------------------------------------------------------------
