@@ -1,7 +1,7 @@
 """Per-layer timings of the point-derivation path, one column per checkout.
 
     python bench/layers.py --column parent=../parent/src --column change=src \
-        --out BENCH_8.json
+        --out BENCH_9.json
 
 Each ``--column LABEL=SRC`` imports ``cyclealg`` from the directory SRC in
 a fresh interpreter (BLAS pinned to one thread) and times, at n = 1, 2, 4
@@ -21,7 +21,13 @@ and 6 on fixed seeded inputs:
   the null device) at lambda = exp(0.7i), k = 1, 2, 4, ..., 4096, on the
   default grid and the canonical kernel elements, at n = 1, 2 and 3
   instead; the command line is the same in every checkout, whatever the
-  library signature behind it.
+  library signature behind it,
+- on the data of a ``reconstruct --deg-max 12`` request,
+  ``GlobalDerivation.from_commutator(random_element(n, deg=8))`` at n = 2,
+  4, 6 and 8 instead: ``solve_boundary_field`` on its default grid (56 n
+  points), ``verify_global_inner`` of the reconstructed witness,
+  ``algebra.norm`` of the first arrow value on the default grid, and
+  ``inner_solve`` of the data localized at lambda = exp(0.7i).
 
 Within one interpreter a timing is the median over 7 repeats of the
 per-call time; each repeat runs as many calls as ``timeit`` needs to last at
@@ -46,6 +52,7 @@ from pathlib import Path
 SIZES = (1, 2, 4, 6)
 KERNEL_SIZES = (2, 3, 4, 6)
 LADDER_SIZES = (1, 2, 3)
+RECONSTRUCT_SIZES = (2, 4, 6, 8)
 LADDER = [2**j for j in range(13)]  # 1 .. 4096
 REPEATS = 7
 ROUNDS = 3
@@ -63,8 +70,15 @@ def measure(src: str) -> dict:
     import numpy as np
 
     from cyclealg import cli, derivations
-    from cyclealg.algebra import mul_elem, random_element
-    from cyclealg.derivations import GenDerivation, check_leibniz
+    from cyclealg.algebra import mul_elem, norm, random_element
+    from cyclealg.derivations import GenDerivation, check_leibniz, inner_solve
+    from cyclealg.reconstruction import (
+        GlobalDerivation,
+        localize,
+        reconstruct_witness,
+        solve_boundary_field,
+        verify_global_inner,
+    )
     from cyclealg.representations import (
         DiagZero,
         Lambda,
@@ -114,6 +128,23 @@ def measure(src: str) -> dict:
             lambda: kernel_square_witness(DiagZero(1), k, budget=2)
         )
     lam = complex(np.exp(0.7j))
+    for n in RECONSTRUCT_SIZES:
+        rng = np.random.default_rng(700 + n)
+        D = GlobalDerivation.from_commutator(random_element(n, rng, deg=8))
+        witness = reconstruct_witness(
+            solve_boundary_field(D, deg_max=12), deg_max=12
+        )
+        local = localize(D, lam)
+        cases = {
+            "solve_boundary_field": lambda: solve_boundary_field(
+                D, deg_max=12
+            ),
+            "verify_global_inner": lambda: verify_global_inner(D, witness),
+            "norm": lambda: norm(D.values_Z[0]),
+            "inner_solve": lambda: inner_solve(local),
+        }
+        for name, fn in cases.items():
+            out.setdefault(name, {})[f"n{n}"] = median_call(fn)
     with tempfile.TemporaryDirectory() as tmp:
         for n in LADDER_SIZES:
             path = Path(tmp, f"ladder{n}.json")

@@ -38,6 +38,7 @@ __all__ = [
     "element_from_json",
     "grid_norms",
     "norm",
+    "spectral_norms",
 ]
 
 
@@ -322,24 +323,68 @@ def parse_realized(realized, n: int | None = None) -> CycleElement:
     return CycleElement(size, tuple(rows))
 
 
+def _largest_singular_values(stack: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
+def spectral_norms(stack: np.ndarray, floor: float = np.inf) -> np.ndarray:
+    """Spectral norms of a stack of square matrices, exact where they count.
+
+    Returns one value per matrix, shaped like ``stack.shape[:-2]``.  Every
+    matrix whose spectral norm reaches min(largest, floor) reads the value
+    of a batched singular-value decomposition, bit for bit; every other
+    entry holds the matrix's Frobenius norm, an upper bound for its spectral
+    norm (Golub and Van Loan, Matrix Computations, 2.3) that lies below that
+    level.  So the max, its first index and every value above floor are
+    those of a full decomposition, which runs on few matrices.
+
+    The Frobenius norm is taken on a copy scaled by a power of two per
+    matrix, so |x|**2 neither overflows nor underflows.  The matrix with the
+    largest bound is decomposed first; then every matrix whose bound reaches
+    min(that norm, floor) * (1 - 1e-12).  The margin is far above the
+    rounding of either norm, so a skipped matrix cannot round above the
+    result.  A zero bound belongs to a zero matrix and is its norm.
+    """
+    stack = np.asarray(stack)
+    flat = stack.reshape(-1, *stack.shape[-2:])
+    # the real and imaginary parts of each matrix in one row
+    parts = np.ascontiguousarray(flat, complex).view(float)
+    parts = parts.reshape(len(flat), -1)
+    exp = np.frexp(np.abs(parts).max(axis=1))[1]
+    scaled = np.ldexp(parts, -exp[:, None])
+    out = np.ldexp(np.linalg.norm(scaled, axis=1), exp)
+    top = int(np.argmax(out))
+    if out[top] > 0:  # a zero bound is a zero matrix, whose norm is 0.0
+        out[top] = _largest_singular_values(flat[top : top + 1])[0]
+        pick = out >= min(out[top], floor) * (1 - 1e-12)
+        pick[top] = False
+        if pick.any():
+            out[pick] = _largest_singular_values(flat[pick])
+    return out.reshape(stack.shape[:-2])
+
+
 def grid_norms(a: CycleElement, grid: int = config.NORM_GRID) -> np.ndarray:
     """Operator norm of the realized matrix at each grid point.
 
     Entry t is the largest singular value at exp(2*pi*i*t/grid), taken in
     one batched singular-value decomposition over the grid.
     """
-    values = eval_at_unit_roots(a.realized_coeffs(), grid)
-    stacked = np.moveaxis(values, 2, 0)
-    return np.linalg.svd(stacked, compute_uv=False)[:, 0]
+    return _largest_singular_values(_grid_values(a, grid))
 
 
 def norm(a: CycleElement, grid: int = config.NORM_GRID) -> float:
     """Max operator norm over equispaced unit-circle points.
 
-    The max of ``grid_norms``: a dense lower bound for the sup norm of the
-    realized matrix function; the default grid has 512 points.
+    The max of ``grid_norms``, bit for bit, read through
+    ``spectral_norms``: a dense lower bound for the sup norm of the realized
+    matrix function; the default grid has 512 points.
     """
-    return float(grid_norms(a, grid).max())
+    return float(spectral_norms(_grid_values(a, grid)).max())
+
+
+def _grid_values(a: CycleElement, grid: int) -> np.ndarray:
+    """(grid, n, n) values of the realized matrix at the grid points."""
+    return np.moveaxis(eval_at_unit_roots(a.realized_coeffs(), grid), 2, 0)
 
 
 def random_element(

@@ -28,6 +28,8 @@ ladder as |h_k - 1| ||a|| on the grid, without forming a product.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -41,8 +43,9 @@ from .algebra import (
     grid_norms,
     mul_elem,
     random_element,
+    spectral_norms,
 )
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, GridTooSmall
 from .poly import Poly, eval_at_unit_roots, powers
 from .representations import (
     DiagZero,
@@ -291,7 +294,7 @@ def relation_residual(D: GenDerivation) -> tuple[float, str]:
             step * VZ[:, None] - VZ[:, None] @ Pe - PZ[:, None] @ Ve,
         ]
     )
-    norms = np.linalg.norm(defects, 2, axis=(-2, -1))
+    norms = spectral_norms(defects)
     family, a, b = np.unravel_index(np.argmax(norms), norms.shape)
     left = ("e_{} e_{}", "e_{} Z_{}", "Z_{} e_{}")[family].format(a, b)
     kept = (f"e_{a}", f"Z_{b}", f"Z_{a}")[family]
@@ -325,6 +328,7 @@ def _inner_solve_core(
     phi_list: Sequence[np.ndarray],
     value_stacks: Sequence[np.ndarray],
     n: int,
+    floor: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least squares for phi(g) X - X phi(g) = D(g) over all generators g.
 
@@ -334,7 +338,11 @@ def _inner_solve_core(
     data in those entries still counts.  Returns the K minimum-norm
     solutions shifted so X[0, 0] = 0 exactly (the identity is central, so
     the shift never changes any commutator) and, per right-hand side, the
-    worst spectral residual over the generator equations.
+    worst spectral residual over the generator equations.  Through
+    ``spectral_norms`` that residual is exact, bit for bit, at its max and
+    wherever it exceeds floor; elsewhere it may read an upper bound that
+    stays below both.  The residuals are taken on blocks of about K
+    matrices, so they never hold more memory than one generator's values.
     """
     eye = np.eye(n, dtype=complex)
     blocks = [np.kron(p, eye) - np.kron(eye, p.T) for p in phi_list]
@@ -349,11 +357,14 @@ def _inner_solve_core(
     )
     X = x.T.reshape(-1, n, n)
     X = X - X[:, :1, :1] * eye
-    residual = np.zeros(len(X))
-    for p, v in zip(phi_list, value_stacks):
-        residual = np.maximum(
-            residual, np.linalg.norm(p @ X - X @ p - v, 2, axis=(1, 2))
-        )
+    P = np.stack(phi_list)
+    step = max(1, len(X) // len(P))
+    residual = np.empty(len(X))
+    for s in range(0, len(X), step):
+        Xs = X[s : s + step, None]
+        Vs = np.stack([v[s : s + step] for v in value_stacks], axis=1)
+        norms = spectral_norms(P @ Xs - Xs @ P - Vs, floor)
+        residual[s : s + step] = norms.max(axis=1)
     return X, residual
 
 
@@ -370,7 +381,7 @@ def inner_solve(D: GenDerivation, tol: float | None = None) -> InnerSolveResult:
     n = D.n
     phi_e, phi_Z = phi_generator_values(n, D.point.value)
     X, residual = _inner_solve_core(
-        phi_e + phi_Z, [v[None] for v in (*D.values_e, *D.values_Z)], n
+        phi_e + phi_Z, [v[None] for v in (*D.values_e, *D.values_Z)], n, tol
     )
     residual = float(residual[0])
     return InnerSolveResult(D.point, X[0], residual, residual <= tol, tol)
@@ -461,10 +472,11 @@ def decompose_experiment(D: GenDerivation, seed: int = 0) -> dict:
 
 
 def canonical_kernel_elements(n: int, lam: complex) -> list[CycleElement]:
-    """Three unit-scale elements of the kernel at Lambda(lam).
+    """Distinct unit-scale elements of the kernel at Lambda(lam).
 
     The vanishing factor (w - lam**n) placed on the full diagonal, on the
-    first vertex alone, and on the first arrow position.
+    first vertex alone, and on the first arrow position.  At n = 1 the full
+    diagonal is the first vertex, so two elements are returned.
     """
     w0 = lam**n
     factor = Poly([-w0, 1.0])
@@ -494,7 +506,14 @@ def canonical_kernel_elements(n: int, lam: complex) -> list[CycleElement]:
             for i in range(n)
         ),
     )
+    if n == 1:
+        return [full_diag, at_arrow]
     return [full_diag, at_vertex, at_arrow]
+
+
+def _distinct_powers(grid: int, n: int) -> int:
+    """Number of distinct values of z**n over the grid-point unit roots."""
+    return grid // math.gcd(grid, n)
 
 
 def boundary_approx_identity(
@@ -521,9 +540,11 @@ def boundary_approx_identity(
     ``norm_F`` <= 2 + 1e-9, every ``kernel_value_F`` <= 1e-12 and the worst
     residual never grows by more than 1e-12 along the ladder.  A supplied
     element whose value at the point exceeds 1e-12 * max(1, its grid norm)
-    is not in the kernel and raises ``ValueError``.  The default grid size
-    is prime so it cannot phase-lock with the k-th power pattern and
-    under-read the norm.
+    is not in the kernel and raises ``ValueError``.  A grid on which
+    z**n takes no more distinct values than the largest w-degree of the
+    elements can read a nonzero element as zero and raises
+    ``GridTooSmall``.  The default grid size is prime so it cannot
+    phase-lock with the k-th power pattern and under-read the norm.
     """
     lam = complex(lam)
     if not abs(abs(lam) - 1.0) <= 1e-12:  # also rejects NaN
@@ -533,6 +554,14 @@ def boundary_approx_identity(
         raise ValueError("k_values must be nonempty")
     if ks[0] < 1:
         raise ValueError("index k must be >= 1")
+    # the grid samples w = z**n at grid / gcd(grid, n) distinct points, and
+    # a nonzero entry of w-degree d vanishes at no more than d of them
+    degree = max((a.max_degree for a in kernel_elems), default=-1)
+    if _distinct_powers(norm_grid, n) <= degree:
+        needed = next(
+            m for m in itertools.count(1) if _distinct_powers(m, n) > degree
+        )
+        raise GridTooSmall(norm_grid, needed)
     point = Lambda(lam)
     elem_norms = []
     for index, a in enumerate(kernel_elems):

@@ -262,6 +262,7 @@ def solve_boundary_field(
         phi_e + phi_Z,
         [eval_rep_at_unit_roots(v, m) for v in D.values_e] + loc_Z,
         n,
+        tol,
     )
     worst = float(residual.max())
     if worst > tol:

@@ -12,11 +12,14 @@ from cyclealg.algebra import (
     gen_Z,
     gen_e,
     generators,
+    grid_norms,
     identity,
     monomial_elem,
     mul_elem,
+    norm,
     parse_realized,
     random_element,
+    spectral_norms,
     zero,
 )
 from cyclealg.errors import (
@@ -24,6 +27,7 @@ from cyclealg.errors import (
     DimensionMismatch,
     NotInAlgebra,
 )
+from cyclealg.derivations import canonical_kernel_elements
 from cyclealg.poly import Poly
 
 
@@ -253,6 +257,125 @@ def test_norm_is_submultiplicative_on_samples():
         # exact on a grid that resolves the product degree
         g = 257
         assert mul_elem(a, b).norm(g) <= a.norm(g) * b.norm(g) + 1e-9
+
+
+def full_svd_norms(stack):
+    """Oracle: the largest singular value of every matrix in the stack."""
+    flat = stack.reshape(-1, *stack.shape[-2:])
+    return np.linalg.svd(flat, compute_uv=False)[:, 0]
+
+
+def assert_exact_where_it_counts(stack, floor=np.inf):
+    want = full_svd_norms(stack)
+    got = spectral_norms(stack, floor).ravel()
+    assert got.shape == want.shape
+    # the max and its first index, bit for bit
+    assert got.max() == want.max()
+    assert np.argmax(got) == np.argmax(want)
+    # every matrix at or above min(max, floor) reads the decomposition
+    level = min(want.max(), floor)
+    assert np.array_equal(got[want >= level], want[want >= level])
+    # every other entry is a bound that stays below that level
+    assert np.all(got >= want * (1 - 1e-13))
+    assert np.all(got[want < level] < level)
+
+
+def mixed_scale_stack(rng, count, n):
+    shape = (count, n, n)
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    # whole matrices scaled over 1e+-130 and single entries by 1e+-170, so
+    # that an unscaled |x|**2 would overflow or underflow
+    stack *= 10.0 ** rng.uniform(-130, 130, size=(count, 1, 1))
+    stack *= 10.0 ** rng.choice([-170.0, 0.0, 170.0], size=shape)
+    return stack
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+def test_spectral_norms_match_full_svd_on_mixed_scales(n):
+    rng = np.random.default_rng(90 + n)
+    for count in (1, 2, 7, 300):
+        stack = mixed_scale_stack(rng, count, n)
+        assert_exact_where_it_counts(stack)
+        top = full_svd_norms(stack).max()
+        for floor in (0.0, top * 1e-200, top * 1e-3, top, top * 10):
+            assert_exact_where_it_counts(stack, floor)
+
+
+def test_spectral_norms_match_full_svd_on_noise_and_real_input():
+    # a stack of rounding noise, as in the residuals of a consistent solve,
+    # and a real stack of the same values
+    rng = np.random.default_rng(96)
+    noise = (rng.normal(size=(448, 8, 8)) + 1j) * 1e-15
+    for floor in (np.inf, 1e-8, 3e-15, 0.0):
+        assert_exact_where_it_counts(noise, floor)
+        assert_exact_where_it_counts(noise.real.copy(), floor)
+
+
+def test_spectral_norms_on_zero_stacks_and_ties():
+    for n in (1, 3):
+        zeros = np.zeros((5, n, n), dtype=complex)
+        assert np.array_equal(spectral_norms(zeros), np.zeros(5))
+        assert not np.signbit(spectral_norms(zeros)).any()
+        assert_exact_where_it_counts(zeros)
+        assert_exact_where_it_counts(zeros, 1e-8)
+    rng = np.random.default_rng(97)
+    for n in (1, 2, 4):
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        stack = np.zeros((9, n, n), dtype=complex)
+        stack[[2, 5, 7]] = m  # exact ties at the top
+        stack[[0, 4]] = 0.5 * m
+        stack[8] = -m  # the same norm from another matrix
+        for floor in (np.inf, 0.1, 0.0):
+            assert_exact_where_it_counts(stack, floor)
+        assert np.argmax(spectral_norms(stack)) == 2
+    # row and column permutations of the top matrix tie it up to rounding
+    m = rng.normal(size=(3, 3))
+    stack = np.stack([0.9 * m, m[::-1], m, m[:, ::-1]])
+    assert_exact_where_it_counts(stack)
+    # a matrix just above the one with the largest bound: its own bound
+    # exceeds that norm by less than 1e-12 relative, yet differs from its
+    # spectral norm in the last bits, so it must be decomposed
+    near = np.array([[1 + 1e-13, 0], [0, 1e-7]])
+    assert_exact_where_it_counts(np.stack([np.eye(2), near]))
+    # subnormal entries are scaled, not read as zero
+    assert_exact_where_it_counts(rng.normal(size=(4, 3, 3)) * 1e-310)
+
+
+def test_spectral_norms_survive_rounding_inversions():
+    # rank-one matrices a and a * (1 + k eps) have Frobenius and spectral
+    # norms equal up to rounding, so the rounded bound of the larger one can
+    # fall below the rounded norm of the smaller one; the margin must still
+    # send it to the decomposition
+    rng = np.random.default_rng(95)
+    eps = np.finfo(float).eps
+    for _ in range(500):
+        u = rng.normal(size=(2, 1)) + 1j * rng.normal(size=(2, 1))
+        a = u @ rng.normal(size=(1, 2))
+        for k in range(-3, 4):
+            assert_exact_where_it_counts(np.stack([a, a * (1 + k * eps)]))
+
+
+def test_spectral_norms_keep_the_leading_shape():
+    rng = np.random.default_rng(98)
+    stack = rng.normal(size=(3, 2, 4, 5, 5))
+    got = spectral_norms(stack)
+    assert got.shape == (3, 2, 4)
+    assert_exact_where_it_counts(stack)
+
+
+def test_norm_is_the_max_of_grid_norms_bit_for_bit():
+    rng = np.random.default_rng(99)
+    for n in (1, 2, 3, 5):
+        elems = [
+            zero(n),
+            identity(n),
+            *canonical_kernel_elements(n, np.exp(0.7j)),
+            random_element(n, rng, deg=8),
+            random_element(n, rng, deg=3, scale=1e150),
+        ]
+        for a in elems:
+            for grid in (1, 7, 512):
+                assert norm(a, grid) == grid_norms(a, grid).max()
 
 
 # ----------------------------------------------------------------------

@@ -558,6 +558,35 @@ def test_approx_identity_rejects_interior_point(tmp_path, capsys):
     assert "boundary" in err
 
 
+@pytest.mark.parametrize("grid", ["1", "2"])
+def test_approx_identity_rejects_a_grid_that_reads_nothing(
+    tmp_path, capsys, grid
+):
+    # every point of these grids has z**2 = 1 = lambda**2, where the kernel
+    # elements and h_k - 1 vanish: each residual read 0.0 with exit 0
+    doc = {"lambda": [1, 0], "n": 2, "k_values": [1, 4096]}
+    path = write(tmp_path, "in.json", doc)
+    argv = ["approx-identity", "--input", path, "--grid", grid]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "GridTooSmall" in err and "3 points" in err
+    argv[-1] = "3"
+    code, out, _ = run(capsys, argv)
+    report = json.loads(out)
+    assert min(min(row["residuals"]) for row in report["rows"]) > 0
+
+
+def test_approx_identity_n1_reports_each_kernel_element_once(tmp_path, capsys):
+    doc = {"lambda": [0.6, 0.8], "n": 1, "k_values": [4, 64]}
+    path = write(tmp_path, "in.json", doc)
+    code, out, _ = run(capsys, ["approx-identity", "--input", path])
+    assert code == 0
+    for row in json.loads(out)["rows"]:
+        assert len(row["residuals"]) == 2
+        assert row["residuals"][0] != row["residuals"][1]
+
+
 # ----------------------------------------------------------------------
 # semisimple
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from cyclealg import derivations
 from cyclealg.algebra import (
     diagonal,
     gen_Z,
@@ -28,7 +29,7 @@ from cyclealg.derivations import (
     kernel_vanishing_test,
     relation_residual,
 )
-from cyclealg.errors import DimensionMismatch
+from cyclealg.errors import DimensionMismatch, GridTooSmall
 from cyclealg.poly import Poly
 from cyclealg.representations import DiagZero, Lambda, eval_rep, kernel_sample
 
@@ -286,6 +287,31 @@ def test_relation_residual_matches_product_oracle(n):
         value, relation = relation_residual(D)
         assert value == pytest.approx(defects[worst], rel=1e-12)
         assert relation == worst
+
+
+def full_spectral_norms(stack, floor=np.inf):
+    """Oracle for spectral_norms: one decomposition per matrix, no pruning."""
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+def test_relation_residual_matches_full_decomposition(monkeypatch):
+    # the pruned defects must name the same relation with the same value,
+    # bit for bit, as a decomposition of every defect: on all-zero defects
+    # (zero data at a character), on exact ties (the paired arrow breaks)
+    # and on the agreement cases
+    rng = np.random.default_rng(98)
+    cases = [D for n in range(1, 7) for D in agreement_cases(n)]
+    point = Lambda(0.4 + 0.1j)
+    D0 = GenDerivation.from_commutator(point, random_matrix(rng, 3), 3)
+    for j, r in ((0, 1), (2, 0)):
+        values_Z = [v.copy() for v in D0.values_Z]
+        values_Z[j][r, (j + 1) % 3] += 1e-3
+        cases.append(GenDerivation(point, D0.values_e, tuple(values_Z)))
+    got = [relation_residual(D) for D in cases]
+    monkeypatch.setattr(derivations, "spectral_norms", full_spectral_norms)
+    want = [relation_residual(D) for D in cases]
+    assert got == want
+    assert ("e_0 e_0 = e_0", 0.0) in [(name, v) for v, name in want]
 
 
 def broken(defects, eps):
@@ -665,13 +691,52 @@ def test_approx_identity_ladder_matches_product_oracle(n):
         for F, row in zip(Fs, report["rows"], strict=True):
             assert row["norm_F"] == F.norm(grid)  # bit for bit
             got = row["residuals"]
-            for a, value in zip(canonical, got[:3], strict=True):
+            for a, value in zip(canonical, got[: len(canonical)], strict=True):
                 assert abs(value - _product_residual(F, a, grid)) <= 1e-12
-            for a, value in zip(dense, got[3:], strict=True):
+            for a, value in zip(dense, got[len(canonical) :], strict=True):
                 # the product path trims coefficients below 1e-9
                 want = _product_residual(F, a, grid)
                 assert abs(value - want) <= 1e-9 * a.norm(grid)
             assert row["worst_residual"] == max(got)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_canonical_kernel_elements_are_distinct(n):
+    lam = complex(np.exp(0.73j))
+    elems = canonical_kernel_elements(n, lam)
+    assert len(elems) == (2 if n == 1 else 3)
+    for i, a in enumerate(elems):
+        assert np.max(np.abs(eval_rep(Lambda(lam), a))) <= 1e-15
+        assert not any(a == b for b in elems[i + 1 :])
+
+
+@pytest.mark.parametrize(
+    "n, grid, ok",
+    [(2, 1, False), (2, 2, False), (2, 3, True), (4, 4, False),
+     (4, 6, True), (1, 2, False), (1, 3, True), (3, 4099, True)],
+)
+def test_approx_identity_grid_must_resolve_the_elements(n, grid, ok):
+    # z**n takes grid / gcd(grid, n) distinct values on the grid; the
+    # canonical elements have w-degree 1 (2 for the n = 1 arrow element)
+    elems = canonical_kernel_elements(n, 1.0)
+    if ok:
+        _, report = boundary_approx_identity(
+            1.0, [1, 4096], n, kernel_elems=elems, norm_grid=grid
+        )
+        assert min(report["rows"][0]["residuals"]) > 0
+        return
+    with pytest.raises(GridTooSmall) as info:
+        boundary_approx_identity(
+            1.0, [1, 4096], n, kernel_elems=elems, norm_grid=grid
+        )
+    # the smallest grid that resolves them is named, and it does
+    needed = info.value.needed
+    _, report = boundary_approx_identity(
+        1.0, [1, 4096], n, kernel_elems=elems, norm_grid=needed
+    )
+    assert min(report["rows"][0]["residuals"]) > 0
+    # without elements there is nothing to resolve
+    boundary_approx_identity(1.0, [1, 4096], n, norm_grid=grid)
 
 
 def test_approx_identity_sorts_the_ladder():

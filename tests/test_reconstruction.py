@@ -22,6 +22,7 @@ from cyclealg.errors import (
     NotInAlgebra,
     NotLocallyInner,
 )
+from cyclealg import derivations
 from cyclealg.derivations import inner_solve
 from cyclealg.poly import Poly
 from cyclealg.reconstruction import (
@@ -238,6 +239,50 @@ def test_rejecting_point_is_first_pointwise_failure():
         with pytest.raises(NotLocallyInner) as info:
             solve_boundary_field(D, m=m, deg_max=8)
         assert abs(info.value.lam - roots[first]) <= 1e-15
+
+
+def full_spectral_norms(stack, floor=np.inf):
+    """Oracle for spectral_norms: one decomposition per matrix, no pruning."""
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
+def _solve_outcome(D, m, tol):
+    try:
+        field = solve_boundary_field(D, m=m, deg_max=8, tol=tol)
+    except NotLocallyInner as exc:
+        return "rejected", exc.lam, exc.residual
+    return "solved", field.max_residual, field.X_at.tobytes()
+
+
+def test_solve_outcome_matches_full_per_point_residuals(monkeypatch):
+    # the pruned residual must name the same first rejecting point with the
+    # same residual, and report the same worst residual, bit for bit, as a
+    # decomposition at every grid point and generator
+    rng = np.random.default_rng(72)
+    cases = []
+    for n in (1, 2, 3, 5):
+        m = 8 * n
+        good = GlobalDerivation.from_commutator(random_element(n, rng, deg=4))
+        # off form of full rank away from the first three grid points,
+        # growing along the grid: each tolerance below rejects at another
+        # point
+        roots = np.exp(2j * np.pi * np.arange(m) / m)
+        bump = Poly([1.0])
+        for t in range(3):
+            bump = bump * Poly([-(roots[t] ** n), 1.0])
+        off = good.values_e[0] + diagonal(n, bump) + monomial_elem(
+            n, n, 1, 0, 0.3j
+        )
+        D = GlobalDerivation(n, (off, *good.values_e[1:]), good.values_Z)
+        for tol in (1e-8, 1.0, 3.0, 10.0):
+            cases += [(good, m, tol), (D, m, tol)]
+    got = [_solve_outcome(*case) for case in cases]
+    monkeypatch.setattr(derivations, "spectral_norms", full_spectral_norms)
+    want = [_solve_outcome(*case) for case in cases]
+    assert got == want
+    rejected_at = {outcome[1] for outcome in want if outcome[0] == "rejected"}
+    assert len(rejected_at) >= 2
+    assert any(outcome[0] == "solved" for outcome in want)
 
 
 def test_field_normalization_and_shape():

@@ -21,3 +21,33 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _batched_spectral_norms(tree):
+    """Calls of np.linalg.svd, or of np.linalg.norm with ord and axis."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = ast.unparse(node.func)
+        if name.endswith("svd"):
+            yield node
+        elif name.endswith("linalg.norm") and (
+            len(node.args) >= 3 or any(k.arg == "axis" for k in node.keywords)
+        ):
+            yield node
+
+
+def test_batched_spectral_norms_live_in_algebra():
+    # the spectral residuals are decided in one place, spectral_norms, which
+    # decomposes only the matrices that can reach the maximum
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in _batched_spectral_norms(
+            ast.parse(path.read_text(), str(path))
+        )
+        if path.name != "algebra.py"
+    ]
+    assert found == []
+    algebra = next(path for path in SOURCES if path.name == "algebra.py")
+    assert list(_batched_spectral_norms(ast.parse(algebra.read_text())))
