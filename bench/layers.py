@@ -1,7 +1,7 @@
 """Per-layer timings of the point-derivation path, one column per checkout.
 
     python bench/layers.py --column parent=../parent/src --column change=src \
-        --out BENCH_9.json
+        --out BENCH_10.json
 
 Each ``--column LABEL=SRC`` imports ``cyclealg`` from the directory SRC in
 a fresh interpreter (BLAS pinned to one thread) and times, at n = 1, 2, 4
@@ -27,7 +27,13 @@ and 6 on fixed seeded inputs:
   4, 6 and 8 instead: ``solve_boundary_field`` on its default grid (56 n
   points), ``verify_global_inner`` of the reconstructed witness,
   ``algebra.norm`` of the first arrow value on the default grid, and
-  ``inner_solve`` of the data localized at lambda = exp(0.7i).
+  ``inner_solve`` of the data localized at lambda = exp(0.7i); on the same
+  data, ``element_from_json`` of the first arrow value and
+  ``global_derivation_from_json`` of the whole derivation (both from parsed
+  JSON), ``CycleElement.__add__`` of the first vertex and arrow values,
+  ``mul_elem`` of the witness by the first arrow generator,
+  ``eval_rep_at_unit_roots`` of the first arrow value on the default grid,
+  and ``Poly.__mul__`` of two seeded polynomials of degree 4 n.
 
 Within one interpreter a timing is the median over 7 repeats of the
 per-call time; each repeat runs as many calls as ``timeit`` needs to last at
@@ -70,10 +76,13 @@ def measure(src: str) -> dict:
     import numpy as np
 
     from cyclealg import cli, derivations
-    from cyclealg.algebra import mul_elem, norm, random_element
+    from cyclealg.algebra import element_from_json, gen_Z, mul_elem, norm
+    from cyclealg.algebra import random_element
     from cyclealg.derivations import GenDerivation, check_leibniz, inner_solve
+    from cyclealg.poly import Poly
     from cyclealg.reconstruction import (
         GlobalDerivation,
+        global_derivation_from_json,
         localize,
         reconstruct_witness,
         solve_boundary_field,
@@ -83,6 +92,7 @@ def measure(src: str) -> dict:
         DiagZero,
         Lambda,
         eval_rep,
+        eval_rep_at_unit_roots,
         kernel_sample,
         kernel_square_witness,
     )
@@ -135,6 +145,9 @@ def measure(src: str) -> dict:
             solve_boundary_field(D, deg_max=12), deg_max=12
         )
         local = localize(D, lam)
+        doc = json.loads(json.dumps(D.to_json()))
+        arrow = gen_Z(n, 1)
+        p, q = (Poly(rng.normal(size=4 * n + 1)) for _ in range(2))
         cases = {
             "solve_boundary_field": lambda: solve_boundary_field(
                 D, deg_max=12
@@ -142,6 +155,18 @@ def measure(src: str) -> dict:
             "verify_global_inner": lambda: verify_global_inner(D, witness),
             "norm": lambda: norm(D.values_Z[0]),
             "inner_solve": lambda: inner_solve(local),
+            "element_from_json": lambda: element_from_json(
+                doc["values_Z"][0]
+            ),
+            "global_derivation_from_json": lambda: (
+                global_derivation_from_json(doc)
+            ),
+            "CycleElement.__add__": lambda: D.values_e[0] + D.values_Z[0],
+            "mul_elem(generator)": lambda: mul_elem(witness, arrow),
+            "eval_rep_at_unit_roots": lambda: eval_rep_at_unit_roots(
+                D.values_Z[0], 56 * n
+            ),
+            "Poly.__mul__": lambda: p * q,
         }
         for name, fn in cases.items():
             out.setdefault(name, {})[f"n{n}"] = median_call(fn)

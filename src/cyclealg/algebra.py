@@ -10,18 +10,28 @@ constraint and the single entry is an arbitrary polynomial in w = z.
 Generators: the vertex idempotents gen_e(n, i) and the arrow elements
 gen_Z(n, i), which realize z placed at position (i, i+1) (cyclically).  Their
 products walk the cycle; a full loop contributes one power of w.
+
+Every operation that makes an element (sums, differences, negation, scalar
+and algebra products, random draws, the JSON reader) writes all n**2 entry
+coefficients into one (n**2, L) array and canonicalizes that array in one
+pass with ``poly._trim_rows``; empty entries share one zero ``Poly``.  The
+results are bit for bit those of the same arithmetic done entry by entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from . import config
 from .errors import DegreeOverflow, DimensionMismatch, NotInAlgebra
-from .poly import Poly, _canonical, eval_at_unit_roots
+from .poly import _EMPTY, Poly, _trim_rows, eval_at_unit_roots
 from .poly import int_from_json, poly_from_json
+
+# x + (-0.0) is x bit for bit, the sign of a zero included; 0.0 is not
+_NEG_ZERO = complex(-0.0, -0.0)
 
 __all__ = [
     "CycleElement",
@@ -81,32 +91,31 @@ class CycleElement:
     def __add__(self, other: CycleElement) -> CycleElement:
         if not isinstance(other, CycleElement):
             return NotImplemented
-        if self.n != other.n:
-            raise DimensionMismatch("cycle sizes differ")
-        return CycleElement(
+        length = _common_length(self, other)
+        return _from_stack(
             self.n,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
+            _stack(self, length, _NEG_ZERO) + _stack(other, length, _NEG_ZERO),
         )
 
     def __sub__(self, other: CycleElement) -> CycleElement:
-        return self + (-other)
+        if not isinstance(other, CycleElement):
+            return NotImplemented
+        # a - (+0.0) is a + (-0.0), and -0.0 - b is -b: each entry reads as
+        # self + (-other) taken entry by entry
+        length = _common_length(self, other)
+        return _from_stack(
+            self.n, _stack(self, length, _NEG_ZERO) - _stack(other, length, 0.0)
+        )
 
     def __neg__(self) -> CycleElement:
-        return CycleElement(
-            self.n, tuple(tuple(-p for p in row) for row in self.entries)
-        )
+        return _from_stack(self.n, -_stack(self, _length(self), 0.0))
 
     def __mul__(self, other):
         if isinstance(other, CycleElement):
             return mul_elem(self, other)
         if isinstance(other, (int, float, complex)):
-            return CycleElement(
-                self.n,
-                tuple(tuple(p * other for p in row) for row in self.entries),
-            )
+            # the padding turns into 0.0 or NaN, which the trim drops
+            return _from_stack(self.n, _stack(self, _length(self), 0.0) * other)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -132,7 +141,7 @@ class CycleElement:
     @property
     def max_degree(self) -> int:
         """Largest entry degree in the compressed variable (-1 if zero)."""
-        return max(p.degree for row in self.entries for p in row)
+        return _length(self) - 1
 
     # ---- realization -----------------------------------------------------
 
@@ -182,18 +191,65 @@ class CycleElement:
         }
 
 
+def _length(a: CycleElement) -> int:
+    """Longest entry coefficient vector."""
+    return max([len(p.coeffs) for row in a.entries for p in row])
+
+
+def _common_length(a: CycleElement, b: CycleElement) -> int:
+    if a.n != b.n:
+        raise DimensionMismatch("cycle sizes differ")
+    return max(_length(a), _length(b))
+
+
+def _stack(a: CycleElement, length: int, pad: complex) -> np.ndarray:
+    """(n**2, length) entry coefficients in row-major order, each row
+    filled up with pad after its own coefficients."""
+    coeffs = [p.coeffs for row in a.entries for p in row]
+    out = np.full((len(coeffs), length), pad, dtype=complex)
+    for row, c in zip(out, coeffs):
+        row[: len(c)] = c
+    return out
+
+
+def _wrap(c: np.ndarray) -> Poly:
+    """A row of ``_trim_rows`` as a Poly; empty rows share one zero."""
+    return Poly._from_trimmed(c) if len(c) else _EMPTY
+
+
+def _from_rows(n: int, rows: list[np.ndarray]) -> CycleElement:
+    """The element whose row-major entries are the trimmed rows."""
+    polys = [_wrap(c) for c in rows]
+    return CycleElement(
+        n, tuple(tuple(polys[i * n : (i + 1) * n]) for i in range(n))
+    )
+
+
+def _from_stack(n: int, stack: np.ndarray) -> CycleElement:
+    """The element whose row-major entries are the rows of stack."""
+    return _from_rows(n, _trim_rows(stack))
+
+
+def _single_entry_elements(
+    n: int, places, stack: np.ndarray
+) -> list[CycleElement]:
+    """One element per row of stack: the row at the 0-based position
+    places[t], every other entry empty; the rows share one trim."""
+    blank = (_EMPTY,) * n
+    out = []
+    for (i, j), c in zip(places, _trim_rows(stack)):
+        rows = [blank] * n
+        rows[i] = blank[:j] + (_wrap(c),) + blank[j + 1 :]
+        out.append(CycleElement(n, tuple(rows)))
+    return out
+
+
 def zero(n: int) -> CycleElement:
-    return CycleElement(n, tuple(tuple(Poly() for _ in range(n)) for _ in range(n)))
+    return CycleElement(n, ((_EMPTY,) * n,) * n)
 
 
 def identity(n: int) -> CycleElement:
-    return CycleElement(
-        n,
-        tuple(
-            tuple(Poly.one() if i == j else Poly() for j in range(n))
-            for i in range(n)
-        ),
-    )
+    return diagonal(n, Poly.one())
 
 
 def monomial_elem(
@@ -206,7 +262,7 @@ def monomial_elem(
         raise ValueError("power must be nonnegative")
     c = np.zeros(power + 1, dtype=complex)
     c[power] = coeff
-    rows = [[Poly() for _ in range(n)] for _ in range(n)]
+    rows = [[_EMPTY] * n for _ in range(n)]
     rows[i - 1][j - 1] = Poly(c)
     return CycleElement(n, tuple(tuple(r) for r in rows))
 
@@ -216,7 +272,7 @@ def diagonal(n: int, f: Poly) -> CycleElement:
     return CycleElement(
         n,
         tuple(
-            tuple(f if i == j else Poly() for j in range(n)) for i in range(n)
+            tuple(f if i == j else _EMPTY for j in range(n)) for i in range(n)
         ),
     )
 
@@ -258,39 +314,38 @@ def mul_elem(
     Step counts add along the path i -> k -> j; when the concatenated path
     overshoots a full loop relative to the direct one, the excess loop turns
     into one extra power of w on the product entry.  Entries whose canonical
-    degree would exceed the cap raise DegreeOverflow; the default cap is
-    config.DEG_MAX.
+    degree would exceed the cap raise DegreeOverflow, for the first such
+    entry in row-major order; the default cap is config.DEG_MAX.
+
+    Only nonzero entries a[i][k] and b[k][j] are convolved, so a product
+    with a generator costs n or n**2 convolutions.  Each product entry is
+    0.0 plus its terms in ascending k, the order of the textbook sum.
     """
     if a.n != b.n:
         raise DimensionMismatch("cycle sizes differ")
-    cap = config.DEG_MAX if deg_max is None else deg_max
+    length = _length(a) + _length(b)  # one more than any product needs
     n = a.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            base = _steps(i, j, n)
-            acc: np.ndarray | None = None
-            for k in range(n):
-                fa = a.entries[i][k]
-                fb = b.entries[k][j]
-                if fa.is_zero or fb.is_zero:
-                    continue
-                excess = (_steps(i, k, n) + _steps(k, j, n) - base) // n
-                prod = np.convolve(fa.coeffs, fb.coeffs)
-                length = excess + len(prod)
-                if acc is None or len(acc) < length:
-                    grown = np.zeros(length, dtype=complex)
-                    if acc is not None:
-                        grown[: len(acc)] = acc
-                    acc = grown
-                acc[excess : excess + len(prod)] += prod
-            p = Poly(acc) if acc is not None else Poly()
-            if p.degree > cap:
-                raise DegreeOverflow(p.degree, cap)
-            row.append(p)
-        rows.append(tuple(row))
-    return CycleElement(n, tuple(rows))
+    out = np.zeros((n * n, length), dtype=complex)
+    b_nonzero = [
+        [(j, q.coeffs) for j, q in enumerate(row) if len(q.coeffs)]
+        for row in b.entries
+    ]
+    for i, row in enumerate(a.entries):
+        for k, p in enumerate(row):
+            if not len(p.coeffs):
+                continue
+            for j, q in b_nonzero[k]:
+                excess = (
+                    _steps(i, k, n) + _steps(k, j, n) - _steps(i, j, n)
+                ) // n
+                prod = np.convolve(p.coeffs, q)
+                out[i * n + j, excess : excess + len(prod)] += prod
+    rows = _trim_rows(out)
+    cap = config.DEG_MAX if deg_max is None else deg_max
+    for c in rows:
+        if len(c) - 1 > cap:
+            raise DegreeOverflow(len(c) - 1, cap)
+    return _from_rows(n, rows)
 
 
 def parse_realized(realized, n: int | None = None) -> CycleElement:
@@ -306,21 +361,22 @@ def parse_realized(realized, n: int | None = None) -> CycleElement:
         raise DimensionMismatch(f"expected n = {n}, got grid of size {size}")
     if size < 1 or any(len(row) != size for row in grid):
         raise DimensionMismatch("realized grid is not square")
-    rows = []
+    ladders = []
     for i in range(size):
-        row = []
         for j in range(size):
             p = grid[i][j]
-            if not isinstance(p, Poly):
-                p = Poly(p)
+            c = p.coeffs if isinstance(p, Poly) else Poly(p).coeffs
             s = _steps(i, j, size)
-            c = p.coeffs
-            for k in range(len(c)):
-                if abs(c[k]) > config.EPS_COEFF and (k - s) % size != 0:
-                    raise NotInAlgebra(i + 1, j + 1, k, complex(c[k]))
-            row.append(Poly(c[s::size]) if len(c) > s else Poly())
-        rows.append(tuple(row))
-    return CycleElement(size, tuple(rows))
+            off = np.abs(c) > config.EPS_COEFF
+            off[s::size] = False
+            if off.any():
+                k = int(np.argmax(off))
+                raise NotInAlgebra(i + 1, j + 1, k, complex(c[k]))
+            ladders.append(c[s::size])
+    stack = np.zeros((size * size, max(map(len, ladders))), dtype=complex)
+    for row, c in zip(stack, ladders):
+        row[: len(c)] = c
+    return _from_stack(size, stack)
 
 
 def _largest_singular_values(stack: np.ndarray) -> np.ndarray:
@@ -396,26 +452,53 @@ def random_element(
 ) -> CycleElement:
     """Dense random element; coefficients uniform in the complex unit box."""
     coeffs = rng.uniform(-1.0, 1.0, size=(n, n, deg + 1, 2))
-    grid = [
-        [_canonical((c[:, 0] + 1j * c[:, 1]) * scale) for c in row]
-        for row in coeffs
-    ]
+    stack = (coeffs[..., 0] + 1j * coeffs[..., 1]) * scale
+    stack = stack.reshape(n * n, deg + 1)
+    rows = _trim_rows(stack)
     if normalize:
-        # the largest Poly.norm_l1, taken on the trimmed coefficients
-        top = max(float(np.sum(np.abs(c))) for row in grid for c in row)
+        # the largest Poly.norm_l1, taken row by row on the trimmed rows
+        top = max(float(np.sum(np.abs(c))) for c in rows)
         if top > 0:
-            grid = [[c * (1.0 / top) for c in row] for row in grid]
-    return CycleElement(
-        n, tuple(tuple(Poly(c) for c in row) for row in grid)
-    )
+            for row, c in zip(stack, rows):
+                row[len(c) :] = 0.0  # what the first trim dropped stays out
+            stack *= 1.0 / top
+            rows = _trim_rows(stack)
+    return _from_rows(n, rows)
 
 
 def element_from_json(data: dict) -> CycleElement:
     try:
         n = int_from_json(data["n"], "n", 1)
-        rows = tuple(
-            tuple(poly_from_json(p) for p in row) for row in data["entries"]
-        )
+        rows = _entries_from_json(data["entries"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed element JSON: {exc}") from exc
     return CycleElement(n, rows)
+
+
+def _entries_from_json(grid) -> tuple[tuple[Poly, ...], ...]:
+    """The entry grid of an element's JSON, all coefficients in one array.
+
+    Rows of entries that are lists of [re, im] pairs of finite floats are
+    read in one pass.  Anything else goes to ``poly_from_json`` entry by
+    entry, which reads integers too and raises the first error in reading
+    order, with the message of ``float_from_json``.
+    """
+    try:
+        shape = [len(row) for row in grid]
+        entries = [p for row in grid for p in row]
+        lengths = np.array([len(p) for p in entries], dtype=int)
+        pairs = list(chain.from_iterable(entries))
+        parts = list(chain.from_iterable(pairs))
+        fast = set(map(len, pairs)) <= {2} and set(map(type, parts)) <= {float}
+        values = np.array(parts, dtype=float).view(complex) if fast else None
+    except (TypeError, ValueError):
+        fast = False
+    if not fast or not np.isfinite(values).all():
+        return tuple(tuple(poly_from_json(p) for p in row) for row in grid)
+    stack = np.zeros((len(entries), lengths.max(initial=0)), dtype=complex)
+    stack[np.arange(stack.shape[1]) < lengths[:, None]] = values  # row-major
+    polys = [_wrap(c) for c in _trim_rows(stack)]
+    ends = np.cumsum(shape).tolist()
+    return tuple(
+        tuple(polys[end - size : end]) for size, end in zip(shape, ends)
+    )

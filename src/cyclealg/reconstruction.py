@@ -285,9 +285,8 @@ def reconstruct_witness(
     """
     n, m = field.n, field.m
     cap = config.DEG_MAX if deg_max is None else deg_max
-    realized: list[list[Poly]] = [
-        [Poly() for _ in range(n)] for _ in range(n)
-    ]
+    blank = Poly()
+    realized: list[list[Poly]] = [[blank] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
             if i != j:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import CycleElement, random_element
+from .algebra import _from_stack, _single_entry_elements
 from .errors import DimensionMismatch
 from .poly import Poly, complex_from_json, eval_at_unit_roots, powers
 from .poly import int_from_json
@@ -147,15 +148,16 @@ def kernel_sample(
     out = []
     for _ in range(count):
         g = random_element(n, rng, deg=deg, scale=scale)
-        rows = [list(row) for row in g.entries]
-        if factor is not None:
-            rows = [[factor * p for p in row] for row in rows]
+        # the entries of g, times the factor, in one array trimmed once
+        stack = np.zeros((n * n, deg + 2), dtype=complex)
+        for row, p in zip(stack, (p for r in g.entries for p in r)):
+            c = p.coeffs
+            if factor is not None and len(c):
+                c = np.convolve(factor.coeffs, c)  # as in factor * p
+            row[: len(c)] = c
         for i in vertices:
-            c = rows[i][i].coeffs.copy()
-            if len(c):
-                c[0] = 0.0
-            rows[i][i] = Poly(c)
-        k = CycleElement(n, tuple(tuple(row) for row in rows))
+            stack[i * n + i, 0] = 0.0
+        k = _from_stack(n, stack)
         off = float(np.max(np.abs(eval_rep(point, k))))
         if off > 1e-12 * (1.0 + scale):
             raise RuntimeError(f"kernel sample evaluates to {off:.3e}")
@@ -255,22 +257,18 @@ def kernel_square_witness(
     if residual > 1e-8:
         return KernelSquareResult(False, budget, residual, ())
     weights = target[slot] / count[slot]
-    blank = Poly()
-
-    def factor(index: int, weight: complex = 1.0) -> CycleElement:
-        # monomial_elem(...) * weight, building one Poly instead of n**2
-        i, j, power = span[index]
-        unit = np.zeros(power + 1, dtype=complex)
-        unit[power] = 1.0
-        rows = [[blank] * n for _ in range(n)]
-        rows[i][j] = Poly(unit * weight)
-        return CycleElement(n, tuple(tuple(row) for row in rows))
-
     keep = np.nonzero(np.abs(weights) > 1e-12)[0]
-    rights = {index: factor(index) for index in np.unique(t[keep])}
-    pairs = tuple(
-        (factor(s[p], complex(weights[p])), rights[t[p]]) for p in keep
+    # factor t is monomial_elem(...) * weight: the unit row of its power
+    # times the weight, all rows trimmed in one pass
+    units = np.eye(budget + 1, dtype=complex)[span[:, 2]]
+    right = np.unique(t[keep])
+    rights = dict(
+        zip(right, _single_entry_elements(n, span[right, :2], units[right]))
     )
+    lefts = _single_entry_elements(
+        n, span[s[keep], :2], units[s[keep]] * weights[keep, None]
+    )
+    pairs = tuple(zip(lefts, (rights[index] for index in t[keep])))
     return KernelSquareResult(True, budget, residual, pairs)
 
 

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclealg.algebra import (
     CycleElement,
@@ -27,8 +32,9 @@ from cyclealg.errors import (
     DimensionMismatch,
     NotInAlgebra,
 )
+from cyclealg.config import EPS_COEFF
 from cyclealg.derivations import canonical_kernel_elements
-from cyclealg.poly import Poly
+from cyclealg.poly import Poly, poly_from_json
 
 
 def realized_product(a: CycleElement, b: CycleElement) -> np.ndarray:
@@ -401,3 +407,233 @@ def test_random_element_normalized():
     rng = np.random.default_rng(27)
     a = random_element(2, rng, deg=5, normalize=True)
     assert max(p.norm_l1 for row in a.entries for p in row) <= 1.0 + 1e-12
+
+
+# ----------------------------------------------------------------------
+# one array per operation, against entry-by-entry arithmetic
+# ----------------------------------------------------------------------
+
+
+def entrywise(op, *elements) -> CycleElement:
+    n = elements[0].n
+    return CycleElement(
+        n,
+        tuple(
+            tuple(op(*(e.entries[i][j] for e in elements)) for j in range(n))
+            for i in range(n)
+        ),
+    )
+
+
+def mul_oracle(a, b, deg_max=None) -> CycleElement:
+    """The product entry by entry: acc = 0.0, then + a_ik b_kj in ascending
+    k, one Poly per entry, DegreeOverflow at the first entry over the cap."""
+    cap = 64 if deg_max is None else deg_max
+    n = a.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            base = (j - i) % n
+            acc = None
+            for k in range(n):
+                fa, fb = a.entries[i][k], b.entries[k][j]
+                if fa.is_zero or fb.is_zero:
+                    continue
+                excess = ((k - i) % n + (j - k) % n - base) // n
+                prod = np.convolve(fa.coeffs, fb.coeffs)
+                length = excess + len(prod)
+                if acc is None or len(acc) < length:
+                    grown = np.zeros(length, dtype=complex)
+                    if acc is not None:
+                        grown[: len(acc)] = acc
+                    acc = grown
+                acc[excess : excess + len(prod)] += prod
+            p = Poly(acc) if acc is not None else Poly()
+            if p.degree > cap:
+                raise DegreeOverflow(p.degree, cap)
+            row.append(p)
+        rows.append(tuple(row))
+    return CycleElement(n, tuple(rows))
+
+
+def bits(a: CycleElement):
+    """Every coefficient bit of an element, and its JSON text."""
+    raw = [[p.coeffs.tobytes() for p in row] for row in a.entries]
+    return a.n, raw, json.dumps(a.to_json())
+
+
+# parts at and around the trim threshold, signed zeros and ordinary values
+PARTS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, EPS_COEFF, -EPS_COEFF, np.nextafter(EPS_COEFF, 1.0),
+         1.0, -1.0]
+    ),
+    st.floats(-4.0, 4.0),
+)
+POLYS = st.lists(st.builds(complex, PARTS, PARTS), max_size=4).map(Poly)
+SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([0.0, -0.0, 1e-10, -1.0]),
+    st.floats(-4.0, 4.0),
+    st.builds(complex, PARTS, PARTS),
+)
+
+
+@st.composite
+def elements(draw, n):
+    kind = draw(st.sampled_from(["dense", "generator", "monomial", "zero"]))
+    if kind == "generator":
+        gen = draw(st.sampled_from([gen_e, gen_Z]))
+        return gen(n, draw(st.integers(1, n)))
+    if kind == "monomial":
+        i, j = draw(st.integers(1, n)), draw(st.integers(1, n))
+        coeff = draw(st.builds(complex, PARTS, PARTS))
+        return monomial_elem(n, i, j, draw(st.integers(0, 3)), coeff)
+    if kind == "zero":
+        return zero(n)
+    return CycleElement(
+        n, tuple(tuple(draw(POLYS) for _ in range(n)) for _ in range(n))
+    )
+
+
+@st.composite
+def operand_pairs(draw):
+    n = draw(st.integers(1, 4))
+    a = draw(elements(n))
+    if draw(st.booleans()):
+        # b cancels a on some entries, so sums trim down to nothing there
+        b = CycleElement(
+            n,
+            tuple(
+                tuple(-p if draw(st.booleans()) else draw(POLYS) for p in row)
+                for row in a.entries
+            ),
+        )
+    else:
+        b = draw(elements(n))
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(operand_pairs(), SCALARS)
+def test_bulk_arithmetic_matches_entrywise_bit_for_bit(pair, c):
+    a, b = pair
+    assert bits(a + b) == bits(entrywise(lambda p, q: p + q, a, b))
+    assert bits(a - b) == bits(entrywise(lambda p, q: p + (-q), a, b))
+    assert bits(-a) == bits(entrywise(lambda p: -p, a))
+    assert bits(a * c) == bits(entrywise(lambda p: p * c, a))
+    assert bits(c * a) == bits(a * c)
+    # results of bulk operations feed further ones alike
+    assert bits((a + b) - a) == bits(
+        entrywise(lambda p, q: (p + q) + (-p), a, b)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(operand_pairs(), st.one_of(st.none(), st.integers(-2, 8)))
+def test_mul_elem_matches_entrywise_oracle(pair, deg_max):
+    a, b = pair
+    for x, y in ((a, b), (b, a), (a, a)):
+        try:
+            want = mul_oracle(x, y, deg_max)
+        except DegreeOverflow as exc:
+            with pytest.raises(DegreeOverflow) as got:
+                mul_elem(x, y, deg_max=deg_max)
+            assert (got.value.degree, got.value.cap) == (exc.degree, exc.cap)
+            continue
+        assert bits(mul_elem(x, y, deg_max=deg_max)) == bits(want)
+
+
+def test_degree_overflow_names_first_entry_in_row_major_order():
+    # entries (1, 1) of degree 3 and (1, 2) of degree 5 both pass cap 2
+    a = CycleElement.from_rows(
+        [[Poly([0, 0, 0, 1]), Poly([0, 0, 0, 0, 0, 1])], [0, 0]]
+    )
+    with pytest.raises(DegreeOverflow) as got:
+        mul_elem(a, identity(2), deg_max=2)
+    assert got.value.degree == 3
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(0, 6),
+    st.sampled_from([1.0, 1e-10, 3.5]),
+    st.booleans(),
+    st.integers(0, 2**32),
+)
+def test_random_element_matches_entrywise_draw(n, deg, scale, normalize, seed):
+    got = random_element(
+        n, np.random.default_rng(seed), deg=deg, scale=scale,
+        normalize=normalize,
+    )
+    coeffs = np.random.default_rng(seed).uniform(
+        -1.0, 1.0, size=(n, n, deg + 1, 2)
+    )
+    grid = [
+        [Poly((c[:, 0] + 1j * c[:, 1]) * scale).coeffs for c in row]
+        for row in coeffs
+    ]
+    if normalize:
+        top = max(float(np.sum(np.abs(c))) for row in grid for c in row)
+        if top > 0:
+            grid = [[c * (1.0 / top) for c in row] for row in grid]
+    want = CycleElement(n, tuple(tuple(Poly(c) for c in row) for row in grid))
+    assert bits(got) == bits(want)
+
+
+def legacy_element_from_json(data):
+    try:
+        rows = tuple(
+            tuple(poly_from_json(p) for p in row) for row in data["entries"]
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed element JSON: {exc}") from exc
+    return CycleElement(data["n"], rows)
+
+
+def outcome(read, data):
+    try:
+        return bits(read(data))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(operand_pairs())
+def test_json_reader_matches_entry_by_entry_reader(pair):
+    for a in pair:
+        doc = json.loads(json.dumps(a.to_json()))
+        assert outcome(element_from_json, doc) == bits(a)
+        assert outcome(element_from_json, doc) == outcome(
+            legacy_element_from_json, doc
+        )
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [[[[1.0, 2.0]], []], [[], [[True, 0.0]]]],
+        [[[[1.0, "2"]], []], [[], []]],
+        [[[[1.0, math.nan]], []], [[], []]],
+        [[[[1.0, 0.0], [math.inf, 0.0]], []], [[], []]],
+        [[[[10**400, 0.0]], []], [[], []]],
+        [[[[1.0]], []], [[], []]],
+        [[[[1.0, 2.0, 3.0]], []], [[], []]],
+        [[[[1.0], [2.0, 3.0, 4.0]]], [[], []]],
+        [[[], []], [[]]],
+        [[[], [], []], [[], []]],
+        [[[[1.0, 0.0]], [[1.0, 0.0]]], 5],
+        [[[[1, 2]], [[3.5, -0.0]]], [[], [[0, 1e-12]]]],
+        [[[[1.0, 2.0]], {"a": 1}], [[], []]],
+        [[[[1.0, 2.0]], "ab"], [[], []]],
+        [[[None], []], [[], []]],
+        7,
+    ],
+)
+def test_json_reader_rejects_like_entry_by_entry_reader(entries):
+    doc = {"n": 2, "entries": entries}
+    assert outcome(element_from_json, doc) == outcome(
+        legacy_element_from_json, doc
+    )

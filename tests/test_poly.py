@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cyclealg.config import EPS_COEFF
 from cyclealg.errors import RootMismatch
 from cyclealg.poly import (
     Poly,
+    _trim_rows,
     complex_from_json,
     eval_at_unit_roots,
     interpolate_roots_of_unity,
@@ -262,3 +265,68 @@ def test_complex_from_json():
 
 def test_norm_l1():
     assert Poly([3, -4j]).norm_l1 == pytest.approx(7.0)
+
+
+# ----------------------------------------------------------------------
+# the one-pass trim
+# ----------------------------------------------------------------------
+
+
+def trimmed_oracle(coeffs) -> np.ndarray:
+    """Entry-by-entry trim: cut after the last modulus above EPS_COEFF."""
+    c = np.asarray(coeffs, dtype=complex).ravel()
+    keep = np.nonzero(np.abs(c) > EPS_COEFF)[0]
+    return c[: keep[-1] + 1] if keep.size else c[:0]
+
+
+# parts at and around the trim threshold, signed zeros and ordinary values
+PARTS = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, EPS_COEFF, -EPS_COEFF, np.nextafter(EPS_COEFF, 1.0),
+         EPS_COEFF / 2, 1.0, -2.5]
+    ),
+    st.floats(-4.0, 4.0),
+)
+COEFFS = st.lists(st.builds(complex, PARTS, PARTS), max_size=6)
+
+
+@given(COEFFS)
+def test_poly_trim_matches_oracle_bit_for_bit(coeffs):
+    p = Poly(coeffs)
+    assert p.coeffs.tobytes() == trimmed_oracle(coeffs).tobytes()
+    assert not p.coeffs.flags.writeable
+
+
+@given(st.lists(COEFFS, max_size=5), st.integers(0, 3))
+def test_trim_rows_matches_poly_row_by_row(rows, extra):
+    length = max(map(len, rows), default=0) + extra
+    stack = np.zeros((len(rows), length), dtype=complex)
+    for out, c in zip(stack, rows):
+        out[: len(c)] = c
+    trimmed = _trim_rows(stack)
+    assert len(trimmed) == len(rows)
+    for got, c in zip(trimmed, rows):
+        assert got.tobytes() == Poly(c).coeffs.tobytes()
+        assert not got.flags.writeable
+    stack[:] = 7.0  # the rows live in the routine's own copy
+    assert all(
+        got.tobytes() == Poly(c).coeffs.tobytes()
+        for got, c in zip(trimmed, rows)
+    )
+
+
+def test_trim_threshold_is_inclusive():
+    # modulus exactly EPS_COEFF is trimmed, the next float up is kept
+    assert Poly([1.0, EPS_COEFF]).coeffs.tolist() == [1.0]
+    above = np.nextafter(EPS_COEFF, 1.0)
+    assert Poly([1.0, above]).coeffs.tolist() == [1.0, above]
+    # interior small coefficients stay; only trailing ones go
+    assert Poly([EPS_COEFF, 0.0, 1.0]).degree == 2
+    assert [len(c) for c in _trim_rows(np.zeros((2, 0)))] == [0, 0]
+
+
+def test_from_trimmed_keeps_the_row():
+    row = _trim_rows(np.array([[1.0, 2.0, 0.0]]))[0]
+    p = Poly._from_trimmed(row)
+    assert p.coeffs is row
+    assert p == Poly([1.0, 2.0])

@@ -184,6 +184,59 @@ def test_kernel_sample_deterministic():
     assert all(x == y for x, y in zip(a, b))
 
 
+def kernel_sample_oracle(point, n, seed, count, deg, scale=1.0):
+    """Kernel samples built entry by entry, one Poly per step."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        g = random_element(n, rng, deg=deg, scale=scale)
+        rows = [list(row) for row in g.entries]
+        if isinstance(point, Lambda) and abs(point.value) > 1e-12:
+            factor = Poly([-(point.value**n), 1.0])
+            rows = [[factor * p for p in row] for row in rows]
+        elif isinstance(point, Lambda):
+            vertices = range(n)
+        else:
+            vertices = (point.i - 1,)
+        if not (isinstance(point, Lambda) and abs(point.value) > 1e-12):
+            for i in vertices:
+                c = rows[i][i].coeffs.copy()
+                if len(c):
+                    c[0] = 0.0
+                rows[i][i] = Poly(c)
+        out.append(CycleElement(n, tuple(tuple(row) for row in rows)))
+    return out
+
+
+def _bits(a: CycleElement):
+    return [[p.coeffs.tobytes() for p in row] for row in a.entries]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize(
+    "point", [Lambda(0.4 - 0.3j), Lambda(0.0), Lambda(np.exp(1j)),
+              DiagZero(1)]
+)
+@pytest.mark.parametrize("scale", [1.0, 1e-10])
+def test_kernel_sample_matches_entry_by_entry_oracle(n, point, scale):
+    got = kernel_sample(point, n, seed=5, count=3, deg=4, scale=scale)
+    want = kernel_sample_oracle(point, n, 5, 3, 4, scale)
+    assert [_bits(k) for k in got] == [_bits(k) for k in want]
+
+
+def test_kernel_square_factors_are_scaled_unit_monomials_bit_for_bit():
+    # each factor is Poly(unit * weight) for the unit row of its power
+    k = kernel_sample(DiagZero(2), 3, seed=8, count=1, deg=2)[0]
+    result = kernel_square_witness(DiagZero(2), k, budget=2)
+    assert result.success and result.pairs
+    for factor in (f for pair in result.pairs for f in pair):
+        (entry,) = [p for row in factor.entries for p in row if len(p.coeffs)]
+        unit = np.zeros(entry.degree + 1, dtype=complex)
+        unit[-1] = 1.0
+        weight = complex(entry.coeffs[-1])
+        assert entry.coeffs.tobytes() == Poly(unit * weight).coeffs.tobytes()
+
+
 def test_kernel_sample_center_contains_offdiagonal_constants():
     # the center kernel is bigger than the principal ideal generated by w:
     # arrow-position constants already vanish at lam = 0
