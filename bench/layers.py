@@ -1,7 +1,7 @@
 """Per-layer timings of the point-derivation path, one column per checkout.
 
     python bench/layers.py --column parent=../parent/src --column change=src \
-        --out BENCH_10.json
+        --out BENCH_11.json
 
 Each ``--column LABEL=SRC`` imports ``cyclealg`` from the directory SRC in
 a fresh interpreter (BLAS pinned to one thread) and times, at n = 1, 2, 4
@@ -13,6 +13,11 @@ and 6 on fixed seeded inputs:
 - ``check_leibniz`` with 40 trials on commutator data, and
   ``relation_residual`` on the same data (``null`` in a column whose
   checkout lacks it),
+- ``gen_derivation_from_json`` of that data (from parsed JSON), and the
+  ``inner-check`` command through ``cli.main`` on it (report written to
+  the null device),
+- ``cli._build_parser().parse_args`` on an ``inner-check`` command line
+  (one cell, keyed ``any``: it does not depend on n),
 - ``random_element(deg=6, normalize=True)``,
 - ``mul_elem`` of two degree-6 elements,
 - ``kernel_square_witness`` with budget 2 on a degree-2 kernel sample at
@@ -79,6 +84,7 @@ def measure(src: str) -> dict:
     from cyclealg.algebra import element_from_json, gen_Z, mul_elem, norm
     from cyclealg.algebra import random_element
     from cyclealg.derivations import GenDerivation, check_leibniz, inner_solve
+    from cyclealg.derivations import gen_derivation_from_json
     from cyclealg.poly import Poly
     from cyclealg.reconstruction import (
         GlobalDerivation,
@@ -171,6 +177,29 @@ def measure(src: str) -> dict:
         for name, fn in cases.items():
             out.setdefault(name, {})[f"n{n}"] = median_call(fn)
     with tempfile.TemporaryDirectory() as tmp:
+        for n in SIZES:
+            rng = np.random.default_rng(500 + n)
+            X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            doc = GenDerivation.from_commutator(point, X, n).to_json()
+            path = Path(tmp, f"inner{n}.json")
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            argv = ["inner-check", "--input", str(path)]
+            if cli.main(argv + ["--output", os.devnull]) != 0:
+                raise RuntimeError(f"inner-check failed at n = {n}")
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            cases = {
+                "gen_derivation_from_json": lambda: gen_derivation_from_json(
+                    doc
+                ),
+                "inner-check": lambda: cli.main(
+                    argv + ["--output", os.devnull]
+                ),
+            }
+            for name, fn in cases.items():
+                out.setdefault(name, {})[f"n{n}"] = median_call(fn)
+        out["parse_args(inner-check)"] = {
+            "any": median_call(lambda: cli._build_parser().parse_args(argv))
+        }
         for n in LADDER_SIZES:
             path = Path(tmp, f"ladder{n}.json")
             doc = {"lambda": [lam.real, lam.imag], "n": n, "k_values": LADDER}

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import config
 from .errors import DegreeOverflow, DimensionMismatch, NotInAlgebra
-from .poly import _EMPTY, Poly, _trim_rows, eval_at_unit_roots
+from .poly import _EMPTY, Poly, _complex_pairs, _trim_rows
+from .poly import eval_at_unit_roots
 from .poly import int_from_json, poly_from_json
 
 # x + (-0.0) is x bit for bit, the sign of a zero included; 0.0 is not
@@ -487,13 +488,10 @@ def _entries_from_json(grid) -> tuple[tuple[Poly, ...], ...]:
         shape = [len(row) for row in grid]
         entries = [p for row in grid for p in row]
         lengths = np.array([len(p) for p in entries], dtype=int)
-        pairs = list(chain.from_iterable(entries))
-        parts = list(chain.from_iterable(pairs))
-        fast = set(map(len, pairs)) <= {2} and set(map(type, parts)) <= {float}
-        values = np.array(parts, dtype=float).view(complex) if fast else None
-    except (TypeError, ValueError):
-        fast = False
-    if not fast or not np.isfinite(values).all():
+        values = _complex_pairs(list(chain.from_iterable(entries)))
+    except TypeError:
+        values = None
+    if values is None:
         return tuple(tuple(poly_from_json(p) for p in row) for row in grid)
     stack = np.zeros((len(entries), lengths.max(initial=0)), dtype=complex)
     stack[np.arange(stack.shape[1]) < lengths[:, None]] = values  # row-major

@@ -60,7 +60,6 @@ from .representations import (
     point_to_json,
     semisimplicity_certificate,
 )
-from .suite import SuiteConfig, run_suite, summarize
 
 _LEIBNIZ_GATE = 1e-6
 
@@ -228,6 +227,8 @@ def _cmd_reconstruct(args) -> tuple[int, dict]:
 
 
 def _cmd_suite(args) -> tuple[int, dict]:
+    from .suite import SuiteConfig, run_suite, summarize  # only this command
+
     cfg = SuiteConfig(
         seed=args.seed,
         tol_inner=(
@@ -326,23 +327,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="cycle function algebras: evaluation, derivations, "
         "reconstruction",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--deg-max", dest="deg_max", type=int, default=None)
-        p.add_argument("--grid", type=int, default=None)
-        p.add_argument(
-            "--tol-inner", dest="tol_inner", type=float, default=None
-        )
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--input", type=str, default=None)
-        p.add_argument("--output", type=str, default=None)
-        p.add_argument(
-            "--format", choices=("json", "csv"), default="json"
-        )
-        if name == "inner-check":
-            p.add_argument("--split", action="store_true")
+    parser.add_argument("command", choices=list(_COMMANDS))
+    parser.add_argument("--n", type=int, default=None)
+    parser.add_argument("--deg-max", dest="deg_max", type=int, default=None)
+    parser.add_argument("--grid", type=int, default=None)
+    parser.add_argument(
+        "--tol-inner", dest="tol_inner", type=float, default=None
+    )
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--input", type=str, default=None)
+    parser.add_argument("--output", type=str, default=None)
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--split", action="store_true")  # inner-check only
     return parser
 
 
@@ -383,6 +379,8 @@ def _emit(args, report: dict) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.split and args.command != "inner-check":
+        parser.error("unrecognized arguments: --split")
     if args.tol_inner is not None and not 0 < args.tol_inner < np.inf:
         _fail(2, "tol-inner must be positive and finite")
         return 2

@@ -324,6 +324,22 @@ class InnerSolveResult:
         }
 
 
+def _commutator_blocks(P: np.ndarray) -> np.ndarray:
+    """The matrices of X -> p X - X p for a (G, n, n) stack of p.
+
+    On row-major vec(X), block g is kron(p, 1) - kron(1, p.T), that is
+    ``blocks[g, (i, j), (k, l)] = p[i, k] delta_jl - delta_ik p[l, j]``.
+    All G blocks come from one broadcast, with the same complex products
+    as ``np.kron`` takes, so every entry (the sign of a zero included) is
+    bit for bit the kron one.
+    """
+    G, n, _ = P.shape
+    eye = np.eye(n, dtype=complex)
+    left = P[:, :, None, :, None] * eye[:, None, :]
+    right = eye[:, None, :, None] * P.transpose(0, 2, 1)[:, None, :, None, :]
+    return (left - right).reshape(G, n * n, n * n)
+
+
 def _inner_solve_core(
     phi_list: Sequence[np.ndarray],
     value_stacks: Sequence[np.ndarray],
@@ -345,10 +361,11 @@ def _inner_solve_core(
     matrices, so they never hold more memory than one generator's values.
     """
     eye = np.eye(n, dtype=complex)
-    blocks = [np.kron(p, eye) - np.kron(eye, p.T) for p in phi_list]
-    live = [np.any(block != 0, axis=1) for block in blocks]
+    P = np.stack(phi_list)
+    blocks = _commutator_blocks(P)
+    live = np.any(blocks != 0, axis=2)
     x, *_ = np.linalg.lstsq(
-        np.concatenate([block[k] for block, k in zip(blocks, live)]),
+        blocks[live],
         np.concatenate(
             [v.reshape(len(v), -1)[:, k] for v, k in zip(value_stacks, live)],
             axis=1,
@@ -357,7 +374,6 @@ def _inner_solve_core(
     )
     X = x.T.reshape(-1, n, n)
     X = X - X[:, :1, :1] * eye
-    P = np.stack(phi_list)
     step = max(1, len(X) // len(P))
     residual = np.empty(len(X))
     for s in range(0, len(X), step):

@@ -17,6 +17,7 @@ once and wraps the rows with ``Poly._from_trimmed``, which skips the trim.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from numbers import Integral, Real
 from typing import Iterable, Sequence
 
@@ -256,6 +257,25 @@ def complex_from_json(re, im=0.0, name: str = "number") -> complex:
     values and integers too large for a float are rejected.
     """
     return complex(float_from_json(re, name), float_from_json(im, name))
+
+
+def _complex_pairs(pairs) -> np.ndarray | None:
+    """A JSON list of [re, im] pairs as one complex array, or None.
+
+    The one-pass path of the JSON readers: it applies when every pair has
+    two parts and every part is a finite float, and then gives bit for bit
+    the values of ``complex_from_json``.  Otherwise it returns None and the
+    caller reads entry by entry, so a rejection keeps its message.
+    """
+    try:
+        parts = list(chain.from_iterable(pairs))
+        if set(map(len, pairs)) <= {2} and set(map(type, parts)) <= {float}:
+            values = np.array(parts, dtype=float).view(complex)
+            if np.isfinite(values).all():
+                return values
+    except TypeError:
+        pass
+    return None
 
 
 def float_from_json(x, name: str) -> float:

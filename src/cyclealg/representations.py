@@ -19,8 +19,8 @@ import numpy as np
 from .algebra import CycleElement, random_element
 from .algebra import _from_stack, _single_entry_elements
 from .errors import DimensionMismatch
-from .poly import Poly, complex_from_json, eval_at_unit_roots, powers
-from .poly import int_from_json
+from .poly import Poly, _complex_pairs, complex_from_json, eval_at_unit_roots
+from .poly import int_from_json, powers
 
 __all__ = [
     "Lambda",
@@ -303,13 +303,15 @@ def matc_to_json(m: np.ndarray) -> list[list[float]]:
 
 
 def matc_from_json(data) -> np.ndarray:
-    try:
-        flat = np.array(
-            [complex_from_json(re, im, "matrix entry") for re, im in data],
-            dtype=complex,
-        )
-    except TypeError as exc:
-        raise ValueError(f"malformed matrix JSON: {exc}") from exc
+    flat = _complex_pairs(data)
+    if flat is None:
+        try:
+            flat = np.array(
+                [complex_from_json(re, im, "matrix entry") for re, im in data],
+                dtype=complex,
+            )
+        except TypeError as exc:
+            raise ValueError(f"malformed matrix JSON: {exc}") from exc
     n = int(round(len(flat) ** 0.5))
     if n * n != len(flat):
         raise ValueError("matrix payload length is not a perfect square")

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cyclealg
 from cyclealg import __version__
 from cyclealg.algebra import (
     gen_Z,
@@ -16,7 +21,7 @@ from cyclealg.algebra import (
     random_element,
     zero,
 )
-from cyclealg.cli import main
+from cyclealg.cli import _COMMANDS, _build_parser, main
 from cyclealg.derivations import F_point_derivation, GenDerivation
 from cyclealg.reconstruction import GlobalDerivation, solve_boundary_field
 from cyclealg.representations import DiagZero, Lambda
@@ -730,3 +735,53 @@ def test_output_flag_writes_file(tmp_path, capsys):
 def test_nonpositive_tolerance_rejected(capsys):
     code, _, err = run(capsys, ["suite", "--tol-inner", "-1"])
     assert code == 2
+
+
+SHARED_OPTIONS = [
+    "--n", "2", "--deg-max", "5", "--grid", "8", "--tol-inner", "1e-6",
+    "--seed", "3", "--input", "in.json", "--output", "out.json",
+    "--format", "csv",
+]
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+@pytest.mark.parametrize("before", [False, True])
+def test_every_command_takes_the_shared_options(command, before):
+    argv = SHARED_OPTIONS + [command] if before else [command] + SHARED_OPTIONS
+    args = _build_parser().parse_args(argv)
+    assert vars(args) == {
+        "command": command, "n": 2, "deg_max": 5, "grid": 8,
+        "tol_inner": 1e-6, "seed": 3, "input": "in.json",
+        "output": "out.json", "format": "csv", "split": False,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["mystery"], [], ["--seed", "1"]]
+    + [[c, "--split"] for c in _COMMANDS if c != "inner-check"],
+)
+def test_bad_command_lines_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    if "--split" in argv:
+        assert "unrecognized arguments: --split" in err
+
+
+def test_split_is_an_inner_check_option():
+    args = _build_parser().parse_args(["--split", "inner-check"])
+    assert args.split and args.command == "inner-check"
+
+
+def test_cli_import_leaves_suite_unloaded():
+    # the suite is imported by its own command only, so every other
+    # command's interpreter start does not pay for it
+    code = "import sys, cyclealg.cli; print('cyclealg.suite' in sys.modules)"
+    src = str(Path(cyclealg.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.strip() == "False"

@@ -32,6 +32,7 @@ from cyclealg.derivations import (
 from cyclealg.errors import DimensionMismatch, GridTooSmall
 from cyclealg.poly import Poly
 from cyclealg.representations import DiagZero, Lambda, eval_rep, kernel_sample
+from cyclealg.representations import phi_generator_values
 
 
 def random_matrix(rng, n):
@@ -524,6 +525,20 @@ def test_inner_solve_requires_lambda_point():
     )
     with pytest.raises(ValueError):
         inner_solve(D)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize(
+    "lam", [0.0, 1.0, 0.3 + 0.4j, complex(np.exp(0.7j)), -0.7j]
+)
+def test_commutator_blocks_match_kron_bit_for_bit(n, lam):
+    # -0.7j has real part -0.0: the blocks keep the kron sign of every zero
+    phi_e, phi_Z = phi_generator_values(n, lam)
+    P = np.stack(phi_e + phi_Z)
+    eye = np.eye(n, dtype=complex)
+    want = np.stack([np.kron(p, eye) - np.kron(eye, p.T) for p in P])
+    got = derivations._commutator_blocks(P)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------------------

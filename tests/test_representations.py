@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+import json
+import math
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from cyclealg.algebra import (
     zero,
 )
 from cyclealg.errors import DimensionMismatch
-from cyclealg.poly import Poly
+from cyclealg.poly import Poly, complex_from_json
 from cyclealg.representations import (
     DiagZero,
     KernelSquareResult,
@@ -503,3 +505,66 @@ def test_matrix_json_round_trip():
     assert np.allclose(matc_from_json(matc_to_json(m)), m)
     with pytest.raises(ValueError):
         matc_from_json([[1.0, 0.0], [2.0, 0.0]])
+
+
+def legacy_matc_from_json(data):
+    try:
+        flat = np.array(
+            [complex_from_json(re, im, "matrix entry") for re, im in data],
+            dtype=complex,
+        )
+    except TypeError as exc:
+        raise ValueError(f"malformed matrix JSON: {exc}") from exc
+    n = int(round(len(flat) ** 0.5))
+    if n * n != len(flat):
+        raise ValueError("matrix payload length is not a perfect square")
+    return flat.reshape(n, n)
+
+
+def matc_outcome(data):
+    out = []
+    for read in (matc_from_json, legacy_matc_from_json):
+        try:
+            m = read(data)
+            out.append((m.shape, m.dtype, m.tobytes()))
+        except ValueError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_matrix_json_reader_matches_entry_by_entry_reader(n):
+    rng = np.random.default_rng(40 + n)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    m[0, 0] = complex(-0.0, 0.0)
+    data = json.loads(json.dumps(matc_to_json(m)))
+    got, want = matc_outcome(data)
+    assert got == want == ((n, n), np.dtype(complex), m.tobytes())
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [[1.0, 2.0], [True, 0.0], [0.0, 0.0], [1.0, 1.0]],
+        [[1.0, "2"]],
+        [[1.0, math.nan]],
+        [[math.inf, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        [[10**400, 0.0]],
+        [[1.0]],
+        [[1.0, 2.0, 3.0]],
+        [[1.0, 0.0], [2.0], [3.0, 4.0, 5.0], [0.0, 0.0]],
+        [[1, 2], [3, 4], [0, -1], [5, 0]],
+        [[1, 2.5], [-0.0, 4], [0.0, -1.0], [5.0, 0]],
+        [[1.0, 0.0], [2.0, 0.0]],
+        [],
+        [None],
+        [[None, 1.0]],
+        "ab",
+        {"a": 1},
+        7,
+        None,
+    ],
+)
+def test_matrix_json_reader_rejects_like_entry_by_entry_reader(data):
+    got, want = matc_outcome(data)
+    assert got == want
