@@ -31,7 +31,9 @@ and 6 on fixed seeded inputs:
   ``GlobalDerivation.from_commutator(random_element(n, deg=8))`` at n = 2,
   4, 6 and 8 instead: ``solve_boundary_field`` on its default grid (56 n
   points), ``verify_global_inner`` of the reconstructed witness,
-  ``algebra.norm`` of the first arrow value on the default grid, and
+  ``algebra.norm`` of the first arrow value and of the zero element on the
+  default grid, the ``reconstruct --deg-max 12`` command on the data
+  through ``cli.main`` (report written to the null device), and
   ``inner_solve`` of the data localized at lambda = exp(0.7i); on the same
   data, ``element_from_json`` of the first arrow value and
   ``global_derivation_from_json`` of the whole derivation (both from parsed
@@ -82,7 +84,7 @@ def measure(src: str) -> dict:
 
     from cyclealg import cli, derivations
     from cyclealg.algebra import element_from_json, gen_Z, mul_elem, norm
-    from cyclealg.algebra import random_element
+    from cyclealg.algebra import random_element, zero
     from cyclealg.derivations import GenDerivation, check_leibniz, inner_solve
     from cyclealg.derivations import gen_derivation_from_json
     from cyclealg.poly import Poly
@@ -160,6 +162,7 @@ def measure(src: str) -> dict:
             ),
             "verify_global_inner": lambda: verify_global_inner(D, witness),
             "norm": lambda: norm(D.values_Z[0]),
+            "norm(zero)": lambda: norm(zero(n)),
             "inner_solve": lambda: inner_solve(local),
             "element_from_json": lambda: element_from_json(
                 doc["values_Z"][0]
@@ -209,6 +212,18 @@ def measure(src: str) -> dict:
             if cli.main(argv) != 0:
                 raise RuntimeError(f"approx-identity failed at n = {n}")
             out.setdefault("approx-identity", {})[f"n{n}"] = median_call(
+                lambda: cli.main(argv)
+            )
+        for n in RECONSTRUCT_SIZES:
+            rng = np.random.default_rng(700 + n)
+            D = GlobalDerivation.from_commutator(random_element(n, rng, deg=8))
+            path = Path(tmp, f"global{n}.json")
+            path.write_text(json.dumps(D.to_json()), encoding="utf-8")
+            argv = ["reconstruct", "--deg-max", "12", "--input", str(path)]
+            argv += ["--output", os.devnull]
+            if cli.main(argv) != 0:
+                raise RuntimeError(f"reconstruct failed at n = {n}")
+            out.setdefault("reconstruct", {})[f"n{n}"] = median_call(
                 lambda: cli.main(argv)
             )
     return out

@@ -434,8 +434,13 @@ def norm(a: CycleElement, grid: int = config.NORM_GRID) -> float:
 
     The max of ``grid_norms``, bit for bit, read through
     ``spectral_norms``: a dense lower bound for the sup norm of the realized
-    matrix function; the default grid has 512 points.
+    matrix function; the default grid has 512 points.  The zero element
+    reads 0.0, the value every grid gives it, without a grid pass.
     """
+    if grid < 1:
+        raise ValueError("grid size must be >= 1")
+    if a.is_zero:
+        return 0.0
     return float(spectral_norms(_grid_values(a, grid)).max())
 
 

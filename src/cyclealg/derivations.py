@@ -340,6 +340,23 @@ def _commutator_blocks(P: np.ndarray) -> np.ndarray:
     return (left - right).reshape(G, n * n, n * n)
 
 
+def _commutators(P: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """p X - X p for every p of a (G, n, n) stack and X of a (K, n, n) one.
+
+    Returns shape (K, G, n, n) from two matrix products per p: p times the
+    K witnesses laid side by side as one (n, K n) operand, and the K
+    witnesses stacked as one (K n, n) operand times p.  At K = 1 these are
+    the products ``P @ X - X @ P`` takes, bit for bit.  At larger K every
+    value is still exact wherever p has 0/1 entries, as at lambda = 1; only
+    the sign of a zero may follow the BLAS kernel that the shape selects.
+    """
+    K, n, _ = X.shape
+    G = len(P)
+    left = (P @ X.transpose(1, 0, 2).reshape(n, K * n)).reshape(G, n, K, n)
+    right = (X.reshape(K * n, n) @ P).reshape(G, K, n, n)
+    return left.transpose(2, 0, 1, 3) - right.transpose(1, 0, 2, 3)
+
+
 def _inner_solve_core(
     phi_list: Sequence[np.ndarray],
     value_stacks: Sequence[np.ndarray],
@@ -357,8 +374,10 @@ def _inner_solve_core(
     worst spectral residual over the generator equations.  Through
     ``spectral_norms`` that residual is exact, bit for bit, at its max and
     wherever it exceeds floor; elsewhere it may read an upper bound that
-    stays below both.  The residuals are taken on blocks of about K
-    matrices, so they never hold more memory than one generator's values.
+    stays below both.  The residuals are taken on chunks of about K / (2n)
+    right-hand sides, so they never hold more memory than one generator's
+    values; each chunk's commutators come from two stacked matrix products
+    per generator (``_commutators``).
     """
     eye = np.eye(n, dtype=complex)
     P = np.stack(phi_list)
@@ -377,9 +396,8 @@ def _inner_solve_core(
     step = max(1, len(X) // len(P))
     residual = np.empty(len(X))
     for s in range(0, len(X), step):
-        Xs = X[s : s + step, None]
         Vs = np.stack([v[s : s + step] for v in value_stacks], axis=1)
-        norms = spectral_norms(P @ Xs - Xs @ P - Vs, floor)
+        norms = spectral_norms(_commutators(P, X[s : s + step]) - Vs, floor)
         residual[s : s + step] = norms.max(axis=1)
     return X, residual
 

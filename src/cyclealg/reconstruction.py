@@ -330,12 +330,17 @@ def verify_global_inner(
     of m arrows as a sum of m generator residuals times path monomials of
     norm at most 1, so a word's residual is at most its length times the
     worst generator residual.  The reported residual is the worst grid norm
-    of D(g) - (g X - X g).
+    of D(g) - (g X - X g).  A nonzero residual of w-degree d needs a grid of
+    n * (d + 1) points, the rule of ``solve_boundary_field``: on a smaller
+    grid it may read 0.0, so that raises GridTooSmall.  A zero residual
+    needs no grid.
     """
     if X.n != D.n:
         raise DimensionMismatch("witness lives over the wrong cycle")
     es, Zs = generators(D.n)
-    worst = max(
-        norm(D.apply(g) - _bracket(g, X), norm_grid) for g in (*es, *Zs)
-    )
+    residuals = [D.apply(g) - _bracket(g, X) for g in (*es, *Zs)]
+    needed = D.n * (max(r.max_degree for r in residuals) + 1)
+    if needed > norm_grid:
+        raise GridTooSmall(norm_grid, needed)
+    worst = max(norm(r, norm_grid) for r in residuals)
     return VerifyReport(worst, 2 * D.n, norm_grid)

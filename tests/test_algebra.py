@@ -384,6 +384,25 @@ def test_norm_is_the_max_of_grid_norms_bit_for_bit():
                 assert norm(a, grid) == grid_norms(a, grid).max()
 
 
+def test_norm_of_zero_takes_no_grid_pass(monkeypatch):
+    from cyclealg import algebra
+
+    def no_grid_pass(*args, **kwargs):
+        raise AssertionError("spectral_norms called on the zero element")
+
+    monkeypatch.setattr(algebra, "spectral_norms", no_grid_pass)
+    for n in (1, 2, 8):
+        for grid in (1, 7, 512):
+            value = norm(zero(n), grid)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+            assert zero(n).norm(grid) == 0.0
+        for grid in (0, -3):
+            with pytest.raises(ValueError, match="grid size must be >= 1"):
+                norm(zero(n), grid)
+            with pytest.raises(ValueError, match="grid size must be >= 1"):
+                norm(identity(n), grid)
+
+
 # ----------------------------------------------------------------------
 # serialization and misc
 # ----------------------------------------------------------------------

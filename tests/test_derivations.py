@@ -541,6 +541,45 @@ def test_commutator_blocks_match_kron_bit_for_bit(n, lam):
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
+def _per_pair_commutators(P, X):
+    """The broadcast oracle: one n x n product per (witness, generator)."""
+    return P @ X[:, None] - X[:, None] @ P
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize(
+    "lam", [0.0, 1.0, 0.3 + 0.4j, -0.7j, complex(np.exp(0.7j))]
+)
+def test_commutators_of_one_witness_match_per_pair_products(n, lam):
+    # K = 1 serves inner_solve: the same products, so the same bits
+    rng = np.random.default_rng(80 + n)
+    phi_e, phi_Z = phi_generator_values(n, lam)
+    P = np.stack(phi_e + phi_Z)
+    X = random_matrix(rng, n)[None]
+    X[0, 0, 0] = 0.0
+    want = _per_pair_commutators(P, X)
+    got = derivations._commutators(P, X)
+    assert got.shape == want.shape == (1, 2 * n, n, n)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_commutators_at_lambda_one_are_exact(n):
+    # at lambda = 1 every generator has 0/1 entries, so every product is
+    # exact whatever the operand shape; only the sign of a zero may differ
+    # with the BLAS kernel, which no norm reads (hence the + 0.0)
+    rng = np.random.default_rng(90 + n)
+    phi_e, phi_Z = phi_generator_values(n, 1.0)
+    P = np.stack(phi_e + phi_Z)
+    for K in (1, 28, 56 * n):
+        X = rng.normal(size=(K, n, n)) + 1j * rng.normal(size=(K, n, n))
+        X[:, 0, 0] = 0.0
+        want = _per_pair_commutators(P, X) + 0.0
+        got = derivations._commutators(P, X) + 0.0
+        assert got.shape == want.shape == (K, 2 * n, n, n)
+        assert got.tobytes() == want.tobytes(), K
+
+
 # ----------------------------------------------------------------------
 # the center: splitting into inner and arrow parts
 # ----------------------------------------------------------------------

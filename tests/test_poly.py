@@ -134,6 +134,29 @@ def test_eval_matches_horner_by_hand():
         assert abs(p.eval(x) - acc) <= 1e-12 * (1 + abs(acc))
 
 
+def _fold_oracle(c, m):
+    """Exponents folded modulo m with np.add.at, then transformed."""
+    folded = np.zeros(c.shape[:-1] + (m,), dtype=complex)
+    np.add.at(folded, (..., np.arange(c.shape[-1]) % m), c)
+    return np.fft.ifft(folded, axis=-1) * m
+
+
+@pytest.mark.parametrize("m", [2, 7, 16])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_eval_at_unit_roots_matches_fold_bit_for_bit(m, extra, lead):
+    # L = m - 1 and m take the leading-slice add, m + 1 the fold
+    L = m + extra
+    rng = np.random.default_rng(m * 10 + extra)
+    c = rng.normal(size=lead + (L, 2)) @ np.array([1.0, 1j])
+    c.flat[::3] = complex(-0.0, -0.0)
+    c.flat[1::5] = complex(0.0, -0.0)
+    got = eval_at_unit_roots(c, m)
+    want = _fold_oracle(c, m)
+    assert got.shape == want.shape == lead + (m,)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_eval_at_unit_roots_matches_loop():
     rng = np.random.default_rng(13)
     for m in (1, 2, 3, 8, 11):

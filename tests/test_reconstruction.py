@@ -333,6 +333,60 @@ def test_verify_rejects_witness_off_by_one_vertex():
             assert report.equations == 2 * n
 
 
+def test_verify_refuses_a_grid_that_aliases_a_nonzero_residual():
+    # 0.5 (w^64 - 1) at (1, 1) vanishes at all 512 grid points at n = 8, so
+    # a grid norm of its residual would read 0.0 and pass the wrong witness
+    rng = np.random.default_rng(74)
+    n = 8
+    X0 = random_element(n, rng, deg=4)
+    D = GlobalDerivation.from_commutator(X0)
+    bump = (monomial_elem(n, 1, 1, 64) - monomial_elem(n, 1, 1, 0)) * 0.5
+    with pytest.raises(GridTooSmall) as info:
+        verify_global_inner(D, X0 + bump)
+    assert (info.value.m, info.value.needed) == (512, n * 65)
+    report = verify_global_inner(D, X0 + bump, norm_grid=n * 65)
+    assert not report.ok and report.max_residual > 0.99
+    assert verify_global_inner(D, X0 + bump, norm_grid=1024).max_residual == (
+        pytest.approx(1.0)
+    )
+
+
+def test_verify_needs_no_grid_for_zero_residuals():
+    rng = np.random.default_rng(75)
+    for n in (1, 3, 8):
+        X0 = random_element(n, rng, deg=8)
+        D = GlobalDerivation.from_commutator(X0)
+        for grid in (1, 512):
+            report = verify_global_inner(D, X0, norm_grid=grid)
+            assert report.ok and report.max_residual == 0.0
+        with pytest.raises(ValueError):
+            verify_global_inner(D, X0, norm_grid=0)
+
+
+def test_boundary_solve_memory_stays_chunked():
+    # The residual is taken in chunks of about one generator's values, so
+    # the traced peak of the whole solve, in units of one (m, n, n) value
+    # stack, reads 26.2 at n = 8: the 2n value stacks and the least-squares
+    # solve over them.  Taking the residual of all m points at once reads
+    # 100.7 units; a bound of 30 catches any such un-chunking before it
+    # shows in a process's peak memory.
+    import tracemalloc
+
+    n, deg_max = 8, 12
+    rng = np.random.default_rng(76)
+    D = GlobalDerivation.from_commutator(random_element(n, rng, deg=8))
+    m = 4 * n * (deg_max + 2)
+    solve_boundary_field(D, deg_max=deg_max)  # warm every lazy cache
+    tracemalloc.start()
+    try:
+        solve_boundary_field(D, deg_max=deg_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    units = peak / (m * n * n * 16)
+    assert units < 30, units
+
+
 # ----------------------------------------------------------------------
 # serialization
 # ----------------------------------------------------------------------
