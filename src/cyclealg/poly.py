@@ -328,19 +328,18 @@ def eval_at_unit_roots(coeffs, m: int) -> np.ndarray:
     leading axes; the values replace that axis by the m grid points.  Exact
     for any degree: exponents are folded modulo m before the transform,
     which matches evaluation because the grid points are m-th roots of unity.
-    Coefficients that fit on the grid are added into the leading slice of
-    the zero array, 0.0 + c as the fold would, -0.0 included; only a longer
-    coefficient axis takes the unbuffered ``np.add.at`` fold.
+    The fold adds one slice of m coefficients at a time into a zero array,
+    so slot t sums ((0.0 + c[t]) + c[t + m]) + ... in increasing exponent
+    order, -0.0 included; coefficients that fit on the grid take one pass.
     """
     if m < 1:
         raise ValueError("grid size must be >= 1")
     c = np.atleast_1d(np.asarray(coeffs, dtype=complex))
     L = c.shape[-1]
     folded = np.zeros(c.shape[:-1] + (m,), dtype=complex)
-    if L <= m:
-        folded[..., :L] += c
-    else:
-        np.add.at(folded, (..., np.arange(L) % m), c)
+    for s in range(0, L, m):
+        w = min(m, L - s)
+        folded[..., :w] += c[..., s:s + w]
     return np.fft.ifft(folded, axis=-1) * m
 
 

@@ -326,6 +326,30 @@ def test_reconstruct_grid_too_small_is_input_error(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "inner"
 
 
+def test_reconstruct_verifies_long_residual_on_resolving_grid(
+    tmp_path, capsys, monkeypatch
+):
+    # 0.5 (w^64 - 1) at (1, 1) vanishes at all 512 default verification
+    # points at n = 8; a witness off by it must read verify_failed, neither
+    # pass nor exit as an input error
+    import cyclealg.cli as cli
+
+    rng = np.random.default_rng(74)
+    n = 8
+    X0 = random_element(n, rng, deg=4)
+    D = GlobalDerivation.from_commutator(X0)
+    bump = (monomial_elem(n, 1, 1, 64) - monomial_elem(n, 1, 1, 0)) * 0.5
+    monkeypatch.setattr(
+        cli, "reconstruct_witness", lambda field, deg_max: X0 + bump
+    )
+    path = write(tmp_path, "in.json", D.to_json())
+    code, out, _ = run(capsys, ["reconstruct", "--input", path])
+    assert code == 1
+    report = json.loads(out)
+    assert report["verdict"] == "verify_failed"
+    assert report["verify_residual"] > 0.99
+
+
 def test_reconstruct_from_field_payload(tmp_path, capsys):
     D = GlobalDerivation.from_commutator(gen_Z(2, 1))
     field = solve_boundary_field(D, m=16, deg_max=4)

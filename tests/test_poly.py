@@ -145,7 +145,7 @@ def _fold_oracle(c, m):
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
 def test_eval_at_unit_roots_matches_fold_bit_for_bit(m, extra, lead):
-    # L = m - 1 and m take the leading-slice add, m + 1 the fold
+    # L = m - 1 and m fit on the grid in one pass, m + 1 wraps around it
     L = m + extra
     rng = np.random.default_rng(m * 10 + extra)
     c = rng.normal(size=lead + (L, 2)) @ np.array([1.0, 1j])
