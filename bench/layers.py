@@ -1,7 +1,7 @@
 """Per-layer timings of the point-derivation path, one column per checkout.
 
     python bench/layers.py --column parent=../parent/src --column change=src \
-        --out BENCH_11.json
+        --out BENCH_13.json
 
 Each ``--column LABEL=SRC`` imports ``cyclealg`` from the directory SRC in
 a fresh interpreter (BLAS pinned to one thread) and times, at n = 1, 2, 4
@@ -19,7 +19,9 @@ and 6 on fixed seeded inputs:
 - ``cli._build_parser().parse_args`` on an ``inner-check`` command line
   (one cell, keyed ``any``: it does not depend on n),
 - ``random_element(deg=6, normalize=True)``,
-- ``mul_elem`` of two degree-6 elements,
+- ``mul_elem``, ``CycleElement.__sub__`` of two degree-6 elements, and
+  ``CycleElement.to_json`` of the first,
+- ``kernel_sample`` of 20 degree-6 elements at the same Lambda point,
 - ``kernel_square_witness`` with budget 2 on a degree-2 kernel sample at
   ``DiagZero(1)``, at n = 2, 3, 4 and 6 instead,
 - the ``approx-identity`` command through ``cli.main`` (report written to
@@ -132,6 +134,11 @@ def measure(src: str) -> dict:
                 n, rng, deg=DEG, normalize=True
             ),
             "mul_elem": lambda: mul_elem(a, b, deg_max=2 * DEG + 2),
+            "CycleElement.__sub__": lambda: a - b,
+            "CycleElement.to_json": lambda: a.to_json(),
+            "kernel_sample(count=20)": lambda: kernel_sample(
+                point, n, seed=1, count=20
+            ),
         }
         for name, fn in cases.items():
             out.setdefault(name, {})[f"n{n}"] = median_call(fn)

@@ -11,11 +11,15 @@ Generators: the vertex idempotents gen_e(n, i) and the arrow elements
 gen_Z(n, i), which realize z placed at position (i, i+1) (cyclically).  Their
 products walk the cycle; a full loop contributes one power of w.
 
-Every operation that makes an element (sums, differences, negation, scalar
-and algebra products, random draws, the JSON reader) writes all n**2 entry
-coefficients into one (n**2, L) array and canonicalizes that array in one
-pass with ``poly._trim_rows``; empty entries share one zero ``Poly``.  The
-results are bit for bit those of the same arithmetic done entry by entry.
+The entries of an element live in one read-only complex array ``coeffs`` of
+shape (n, n, L): coeffs[i, j, k] is the coefficient of w**k in the (i, j)
+entry.  The array is canonical: every entry is trimmed as ``poly._trim``
+trims a row, every slot past an entry's end holds +0.0, and L is the length
+of the longest entry.  Every operation that makes an element (sums,
+differences, negation, scalar and algebra products, random draws, the JSON
+reader) writes one raw array and hands it to the one constructor, which
+trims it.  The results are bit for bit those of the same arithmetic done
+entry by entry on ``Poly`` objects.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 
 from . import config
 from .errors import DegreeOverflow, DimensionMismatch, NotInAlgebra
-from .poly import _EMPTY, Poly, _complex_pairs, _trim_rows
+from .poly import Poly, _complex_pairs, _trim
 from .poly import eval_at_unit_roots
 from .poly import int_from_json, poly_from_json
 
@@ -60,32 +64,63 @@ def _steps(i: int, j: int, n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class CycleElement:
-    """Matrix over the n-cycle pattern; entries[i][j] is f_{i,j} in w."""
+    """Matrix over the n-cycle pattern; coeffs[i, j] holds f_{i,j} in w.
+
+    ``coeffs`` is the canonical (n, n, L) coefficient array and ``ends`` the
+    (n, n) entry lengths, both read-only; the constructor takes any complex
+    (n, n, L) array and canonicalizes a copy of it.
+    """
 
     n: int
-    entries: tuple[tuple[Poly, ...], ...] = field(repr=False)
+    coeffs: np.ndarray = field(repr=False)
+    ends: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise DimensionMismatch(f"cycle size must be >= 1, got {self.n}")
-        if len(self.entries) != self.n or any(
-            len(row) != self.n for row in self.entries
-        ):
+        coeffs = np.asarray(self.coeffs)
+        if coeffs.ndim != 3 or coeffs.shape[:2] != (self.n, self.n):
             raise DimensionMismatch("entry grid is not n x n")
-        for row in self.entries:
-            for p in row:
-                if not isinstance(p, Poly):
-                    raise TypeError("entries must be Poly instances")
+        canonical, ends = _trim(coeffs)
+        object.__setattr__(self, "coeffs", canonical)
+        object.__setattr__(self, "ends", ends)
 
     # ---- construction helpers -------------------------------------------
 
     @classmethod
-    def from_rows(cls, rows) -> CycleElement:
-        rows = tuple(
-            tuple(p if isinstance(p, Poly) else Poly([p]) for p in row)
+    def from_rows(cls, rows, n: int | None = None) -> CycleElement:
+        """The element with entry grid rows, n x n Poly or numbers."""
+        rows = [
+            [p if isinstance(p, Poly) else Poly([p]) for p in row]
             for row in rows
+        ]
+        size = len(rows)
+        if any(len(row) != size for row in rows):
+            raise DimensionMismatch("entry grid is not n x n")
+        length = max((len(p.coeffs) for row in rows for p in row), default=0)
+        coeffs = np.zeros((size, size, length), dtype=complex)
+        for out, row in zip(coeffs, rows):
+            for c, p in zip(out, row):
+                c[: len(p.coeffs)] = p.coeffs
+        return cls(size if n is None else n, coeffs)
+
+    @property
+    def entries(self) -> tuple[tuple[Poly, ...], ...]:
+        """The entries as Poly objects, entries[i][j] = f_{i,j}.
+
+        A read-only view, built from ``coeffs`` on each access.
+        """
+        return tuple(
+            tuple(Poly(c[:end]) for c, end in zip(row, row_ends))
+            for row, row_ends in zip(self.coeffs, self.ends.tolist())
         )
-        return cls(len(rows), rows)
+
+    def _padded(self, length: int, pad: complex) -> np.ndarray:
+        """coeffs widened to length, with pad in every slot past an end."""
+        out = np.full((self.n, self.n, length), pad, dtype=complex)
+        inside = np.arange(self.coeffs.shape[2]) < self.ends[..., None]
+        np.copyto(out[..., : self.coeffs.shape[2]], self.coeffs, where=inside)
+        return out
 
     # ---- ring structure --------------------------------------------------
 
@@ -93,9 +128,9 @@ class CycleElement:
         if not isinstance(other, CycleElement):
             return NotImplemented
         length = _common_length(self, other)
-        return _from_stack(
+        return CycleElement(
             self.n,
-            _stack(self, length, _NEG_ZERO) + _stack(other, length, _NEG_ZERO),
+            self._padded(length, _NEG_ZERO) + other._padded(length, _NEG_ZERO),
         )
 
     def __sub__(self, other: CycleElement) -> CycleElement:
@@ -104,19 +139,20 @@ class CycleElement:
         # a - (+0.0) is a + (-0.0), and -0.0 - b is -b: each entry reads as
         # self + (-other) taken entry by entry
         length = _common_length(self, other)
-        return _from_stack(
-            self.n, _stack(self, length, _NEG_ZERO) - _stack(other, length, 0.0)
+        return CycleElement(
+            self.n, self._padded(length, _NEG_ZERO) - other._padded(length, 0.0)
         )
 
     def __neg__(self) -> CycleElement:
-        return _from_stack(self.n, -_stack(self, _length(self), 0.0))
+        return CycleElement(self.n, -self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, CycleElement):
             return mul_elem(self, other)
         if isinstance(other, (int, float, complex)):
-            # the padding turns into 0.0 or NaN, which the trim drops
-            return _from_stack(self.n, _stack(self, _length(self), 0.0) * other)
+            # the +0.0 past each end turns into 0.0 or NaN, which the trim
+            # drops
+            return CycleElement(self.n, self.coeffs * other)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -127,126 +163,83 @@ class CycleElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycleElement):
             return NotImplemented
-        return self.n == other.n and all(
-            a == b
-            for ra, rb in zip(self.entries, other.entries)
-            for a, b in zip(ra, rb)
-        )
+        if self.n != other.n:
+            return False
+        length = _common_length(self, other)
+        diff = self._padded(length, 0.0) - other._padded(length, 0.0)
+        return bool(np.all(np.abs(diff) <= config.EPS_COEFF))
 
     __hash__ = None
 
     @property
     def is_zero(self) -> bool:
-        return all(p.is_zero for row in self.entries for p in row)
+        return self.coeffs.shape[2] == 0
 
     @property
     def max_degree(self) -> int:
         """Largest entry degree in the compressed variable (-1 if zero)."""
-        return _length(self) - 1
+        return self.coeffs.shape[2] - 1
+
+    @property
+    def norm_l1(self) -> float:
+        """The largest ``Poly.norm_l1`` over the entries.
+
+        Each entry is summed on its own trimmed row, as ``Poly`` sums it.
+        """
+        rows = self.coeffs.reshape(self.n**2, self.coeffs.shape[2])
+        return max(
+            float(np.sum(np.abs(c[:end])))
+            for c, end in zip(rows, self.ends.ravel().tolist())
+        )
 
     # ---- realization -----------------------------------------------------
 
     def realize(self) -> tuple[tuple[Poly, ...], ...]:
         """Entries as polynomials in the disk variable z."""
-        n = self.n
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                f = self.entries[i][j]
-                if f.is_zero:
-                    row.append(Poly())
-                    continue
-                s = _steps(i, j, n)
-                c = np.zeros(s + n * f.degree + 1, dtype=complex)
-                c[s::n] = f.coeffs
-                row.append(Poly(c))
-            out.append(tuple(row))
-        return tuple(out)
+        # the zeros past each realized entry are trimmed off again
+        return tuple(
+            tuple(Poly(c) for c in row) for row in self.realized_coeffs()
+        )
 
     def realized_coeffs(self, length: int | None = None) -> np.ndarray:
         """(n, n, L) tensor of z-coefficients of the realized entries."""
         n = self.n
-        placed = []
-        need = 1
-        for i, row in enumerate(self.entries):
-            for j, f in enumerate(row):
-                if not f.is_zero:
-                    s = _steps(i, j, n)
-                    end = s + n * f.degree + 1
-                    placed.append((i, j, s, end, f.coeffs))
-                    need = max(need, end)
+        placed = [
+            (i, j, _steps(i, j, n), end)
+            for i, row in enumerate(self.ends.tolist())
+            for j, end in enumerate(row)
+            if end
+        ]
+        need = max([s + n * (end - 1) + 1 for *_, s, end in placed], default=1)
         L = need if length is None else max(length, need)
         out = np.zeros((n, n, L), dtype=complex)
-        for i, j, s, end, c in placed:
-            out[i, j, s:end:n] = c
+        for i, j, s, end in placed:
+            out[i, j, s : s + n * end : n] = self.coeffs[i, j, :end]
         return out
 
     def norm(self, grid: int = config.NORM_GRID) -> float:
         return norm(self, grid)
 
     def to_json(self) -> dict:
+        n, L = self.n, self.coeffs.shape[2]
+        pairs = self.coeffs.view(float).reshape(n, n, L, 2).tolist()
         return {
-            "n": self.n,
-            "entries": [[p.to_json() for p in row] for row in self.entries],
+            "n": n,
+            "entries": [
+                [c[:end] for c, end in zip(row, row_ends)]
+                for row, row_ends in zip(pairs, self.ends.tolist())
+            ],
         }
-
-
-def _length(a: CycleElement) -> int:
-    """Longest entry coefficient vector."""
-    return max([len(p.coeffs) for row in a.entries for p in row])
 
 
 def _common_length(a: CycleElement, b: CycleElement) -> int:
     if a.n != b.n:
         raise DimensionMismatch("cycle sizes differ")
-    return max(_length(a), _length(b))
-
-
-def _stack(a: CycleElement, length: int, pad: complex) -> np.ndarray:
-    """(n**2, length) entry coefficients in row-major order, each row
-    filled up with pad after its own coefficients."""
-    coeffs = [p.coeffs for row in a.entries for p in row]
-    out = np.full((len(coeffs), length), pad, dtype=complex)
-    for row, c in zip(out, coeffs):
-        row[: len(c)] = c
-    return out
-
-
-def _wrap(c: np.ndarray) -> Poly:
-    """A row of ``_trim_rows`` as a Poly; empty rows share one zero."""
-    return Poly._from_trimmed(c) if len(c) else _EMPTY
-
-
-def _from_rows(n: int, rows: list[np.ndarray]) -> CycleElement:
-    """The element whose row-major entries are the trimmed rows."""
-    polys = [_wrap(c) for c in rows]
-    return CycleElement(
-        n, tuple(tuple(polys[i * n : (i + 1) * n]) for i in range(n))
-    )
-
-
-def _from_stack(n: int, stack: np.ndarray) -> CycleElement:
-    """The element whose row-major entries are the rows of stack."""
-    return _from_rows(n, _trim_rows(stack))
-
-
-def _single_entry_elements(
-    n: int, places, stack: np.ndarray
-) -> list[CycleElement]:
-    """One element per row of stack: the row at the 0-based position
-    places[t], every other entry empty; the rows share one trim."""
-    blank = (_EMPTY,) * n
-    out = []
-    for (i, j), c in zip(places, _trim_rows(stack)):
-        rows = [blank] * n
-        rows[i] = blank[:j] + (_wrap(c),) + blank[j + 1 :]
-        out.append(CycleElement(n, tuple(rows)))
-    return out
+    return max(a.coeffs.shape[2], b.coeffs.shape[2])
 
 
 def zero(n: int) -> CycleElement:
-    return CycleElement(n, ((_EMPTY,) * n,) * n)
+    return CycleElement(n, np.zeros((n, n, 0), dtype=complex))
 
 
 def identity(n: int) -> CycleElement:
@@ -261,21 +254,16 @@ def monomial_elem(
         raise IndexError(f"position ({i},{j}) out of range for n = {n}")
     if power < 0:
         raise ValueError("power must be nonnegative")
-    c = np.zeros(power + 1, dtype=complex)
-    c[power] = coeff
-    rows = [[_EMPTY] * n for _ in range(n)]
-    rows[i - 1][j - 1] = Poly(c)
-    return CycleElement(n, tuple(tuple(r) for r in rows))
+    c = np.zeros((n, n, power + 1), dtype=complex)
+    c[i - 1, j - 1, power] = coeff
+    return CycleElement(n, c)
 
 
 def diagonal(n: int, f: Poly) -> CycleElement:
     """The element with f at every diagonal position."""
-    return CycleElement(
-        n,
-        tuple(
-            tuple(f if i == j else _EMPTY for j in range(n)) for i in range(n)
-        ),
-    )
+    c = np.zeros((n, n, len(f.coeffs)), dtype=complex)
+    c[range(n), range(n)] = f.coeffs
+    return CycleElement(n, c)
 
 
 def gen_e(n: int, i: int) -> CycleElement:
@@ -324,29 +312,30 @@ def mul_elem(
     """
     if a.n != b.n:
         raise DimensionMismatch("cycle sizes differ")
-    length = _length(a) + _length(b)  # one more than any product needs
     n = a.n
-    out = np.zeros((n * n, length), dtype=complex)
+    out = np.zeros((n, n, a.coeffs.shape[2] + b.coeffs.shape[2]), dtype=complex)
+    a_ends, b_ends = a.ends.tolist(), b.ends.tolist()
     b_nonzero = [
-        [(j, q.coeffs) for j, q in enumerate(row) if len(q.coeffs)]
-        for row in b.entries
+        [(j, b.coeffs[k, j, :end]) for j, end in enumerate(row) if end]
+        for k, row in enumerate(b_ends)
     ]
-    for i, row in enumerate(a.entries):
-        for k, p in enumerate(row):
-            if not len(p.coeffs):
+    for i, row in enumerate(a_ends):
+        for k, end in enumerate(row):
+            if not end:
                 continue
+            p = a.coeffs[i, k, :end]
             for j, q in b_nonzero[k]:
                 excess = (
                     _steps(i, k, n) + _steps(k, j, n) - _steps(i, j, n)
                 ) // n
-                prod = np.convolve(p.coeffs, q)
-                out[i * n + j, excess : excess + len(prod)] += prod
-    rows = _trim_rows(out)
+                prod = np.convolve(p, q)
+                out[i, j, excess : excess + len(prod)] += prod
+    product = CycleElement(n, out)
     cap = config.DEG_MAX if deg_max is None else deg_max
-    for c in rows:
-        if len(c) - 1 > cap:
-            raise DegreeOverflow(len(c) - 1, cap)
-    return _from_rows(n, rows)
+    if product.max_degree > cap:
+        first = int(np.argmax(product.ends > cap + 1))  # row-major
+        raise DegreeOverflow(int(product.ends.flat[first]) - 1, cap)
+    return product
 
 
 def parse_realized(realized, n: int | None = None) -> CycleElement:
@@ -373,11 +362,11 @@ def parse_realized(realized, n: int | None = None) -> CycleElement:
             if off.any():
                 k = int(np.argmax(off))
                 raise NotInAlgebra(i + 1, j + 1, k, complex(c[k]))
-            ladders.append(c[s::size])
-    stack = np.zeros((size * size, max(map(len, ladders))), dtype=complex)
-    for row, c in zip(stack, ladders):
-        row[: len(c)] = c
-    return _from_stack(size, stack)
+            ladders.append((i, j, c[s::size]))
+    stack = np.zeros((size, size, max(len(c) for *_, c in ladders)), complex)
+    for i, j, c in ladders:
+        stack[i, j, : len(c)] = c
+    return CycleElement(size, stack)
 
 
 def _largest_singular_values(stack: np.ndarray) -> np.ndarray:
@@ -458,50 +447,41 @@ def random_element(
 ) -> CycleElement:
     """Dense random element; coefficients uniform in the complex unit box."""
     coeffs = rng.uniform(-1.0, 1.0, size=(n, n, deg + 1, 2))
-    stack = (coeffs[..., 0] + 1j * coeffs[..., 1]) * scale
-    stack = stack.reshape(n * n, deg + 1)
-    rows = _trim_rows(stack)
+    a = CycleElement(n, (coeffs[..., 0] + 1j * coeffs[..., 1]) * scale)
     if normalize:
-        # the largest Poly.norm_l1, taken row by row on the trimmed rows
-        top = max(float(np.sum(np.abs(c))) for c in rows)
+        top = a.norm_l1
         if top > 0:
-            for row, c in zip(stack, rows):
-                row[len(c) :] = 0.0  # what the first trim dropped stays out
-            stack *= 1.0 / top
-            rows = _trim_rows(stack)
-    return _from_rows(n, rows)
+            a = CycleElement(n, a.coeffs * (1.0 / top))
+    return a
 
 
 def element_from_json(data: dict) -> CycleElement:
-    try:
-        n = int_from_json(data["n"], "n", 1)
-        rows = _entries_from_json(data["entries"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed element JSON: {exc}") from exc
-    return CycleElement(n, rows)
+    """An element read from its JSON, all coefficients in one array.
 
-
-def _entries_from_json(grid) -> tuple[tuple[Poly, ...], ...]:
-    """The entry grid of an element's JSON, all coefficients in one array.
-
-    Rows of entries that are lists of [re, im] pairs of finite floats are
-    read in one pass.  Anything else goes to ``poly_from_json`` entry by
-    entry, which reads integers too and raises the first error in reading
-    order, with the message of ``float_from_json``.
+    Entries that are lists of [re, im] pairs of finite floats are read in
+    one pass.  Anything else goes to ``poly_from_json`` entry by entry,
+    which reads integers too and raises the first error in reading order,
+    with the message of ``float_from_json``.
     """
     try:
-        shape = [len(row) for row in grid]
-        entries = [p for row in grid for p in row]
-        lengths = np.array([len(p) for p in entries], dtype=int)
-        values = _complex_pairs(list(chain.from_iterable(entries)))
-    except TypeError:
-        values = None
+        n = int_from_json(data["n"], "n", 1)
+        grid = data["entries"]
+        try:
+            shape = [len(row) for row in grid]
+            entries = [p for row in grid for p in row]
+            lengths = np.array([len(p) for p in entries], dtype=int)
+            values = _complex_pairs(list(chain.from_iterable(entries)))
+        except TypeError:
+            values = None
+        if values is None:
+            rows = [[poly_from_json(p) for p in row] for row in grid]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed element JSON: {exc}") from exc
     if values is None:
-        return tuple(tuple(poly_from_json(p) for p in row) for row in grid)
-    stack = np.zeros((len(entries), lengths.max(initial=0)), dtype=complex)
-    stack[np.arange(stack.shape[1]) < lengths[:, None]] = values  # row-major
-    polys = [_wrap(c) for c in _trim_rows(stack)]
-    ends = np.cumsum(shape).tolist()
-    return tuple(
-        tuple(polys[end - size : end]) for size, end in zip(shape, ends)
-    )
+        return CycleElement.from_rows(rows, n)
+    if shape != [n] * n:
+        raise DimensionMismatch("entry grid is not n x n")
+    stack = np.zeros((n, n, lengths.max(initial=0)), dtype=complex)
+    inside = np.arange(stack.shape[2]) < lengths.reshape(n, n, 1)
+    stack[inside] = values  # row-major
+    return CycleElement(n, stack)

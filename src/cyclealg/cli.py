@@ -78,13 +78,16 @@ def _load_doc(path: str | None) -> dict:
         raise _InputError("this command requires --input")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise _InputError(f"cannot read input: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _InputError(
             f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    if not isinstance(doc, dict):
+        raise _InputError("input must be a JSON object")
+    return doc
 
 
 def _resolved_config(args) -> dict:
@@ -93,9 +96,7 @@ def _resolved_config(args) -> dict:
         "n": args.n,
         "deg_max": args.deg_max if args.deg_max is not None else config.DEG_MAX,
         "grid": args.grid,
-        "tol_inner": (
-            args.tol_inner if args.tol_inner is not None else config.TOL_INNER
-        ),
+        "tol_inner": args.tol_inner,
         "seed": args.seed,
         "format": args.format,
     }
@@ -134,14 +135,13 @@ def _cmd_inner_check(args) -> tuple[int, dict]:
     doc = _load_doc(args.input)
     D = gen_derivation_from_json(doc)
     _check_n(args, D.n)
-    tol = args.tol_inner if args.tol_inner is not None else config.TOL_INNER
     leibniz, relation = relation_residual(D)
     report: dict = {
         "point": point_to_json(D.point),
         "n": D.n,
         "leibniz_residual": leibniz,
         "leibniz_relation": relation,
-        "tol_inner": tol,
+        "tol_inner": args.tol_inner,
     }
     if leibniz > _LEIBNIZ_GATE:
         report["verdict"] = "indeterminate"
@@ -152,7 +152,7 @@ def _cmd_inner_check(args) -> tuple[int, dict]:
             float(np.max(np.abs(v)))
             for v in (*D.values_e, *D.values_Z)
         )
-        if top <= tol:
+        if top <= args.tol_inner:
             report["verdict"] = "inner"
             report["X"] = matc_to_json(np.zeros((1, 1), complex))
             report["residual"] = top
@@ -161,7 +161,7 @@ def _cmd_inner_check(args) -> tuple[int, dict]:
         report["residual"] = top
         _add_kernel_witness(report, D, args.seed)
         return 1, report
-    solve = inner_solve(D, tol=tol)
+    solve = inner_solve(D, tol=args.tol_inner)
     report["residual"] = solve.residual
     if solve.consistent:
         report["verdict"] = "inner"
@@ -191,7 +191,6 @@ def _cmd_inner_check(args) -> tuple[int, dict]:
 
 def _cmd_reconstruct(args) -> tuple[int, dict]:
     doc = _load_doc(args.input)
-    tol = args.tol_inner if args.tol_inner is not None else config.TOL_INNER
     if "X_at" in doc:
         field = boundary_field_from_json(doc)
         _check_n(args, field.n)
@@ -207,7 +206,7 @@ def _cmd_reconstruct(args) -> tuple[int, dict]:
     _check_n(args, D.n)
     try:
         field = solve_boundary_field(
-            D, m=args.grid, deg_max=args.deg_max, tol=tol
+            D, m=args.grid, deg_max=args.deg_max, tol=args.tol_inner
         )
     except NotLocallyInner as exc:
         return 1, {
@@ -241,9 +240,7 @@ def _cmd_suite(args) -> tuple[int, dict]:
 
     cfg = SuiteConfig(
         seed=args.seed,
-        tol_inner=(
-            args.tol_inner if args.tol_inner is not None else config.TOL_INNER
-        ),
+        tol_inner=args.tol_inner,
         deg_max=(
             args.deg_max if args.deg_max is not None else config.DEG_MAX
         ),
@@ -342,7 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--deg-max", dest="deg_max", type=int, default=None)
     parser.add_argument("--grid", type=int, default=None)
     parser.add_argument(
-        "--tol-inner", dest="tol_inner", type=float, default=None
+        "--tol-inner", dest="tol_inner", type=float,
+        default=config.TOL_INNER,
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--input", type=str, default=None)
@@ -391,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.split and args.command != "inner-check":
         parser.error("unrecognized arguments: --split")
-    if args.tol_inner is not None and not 0 < args.tol_inner < np.inf:
+    if not 0 < args.tol_inner < np.inf:
         _fail(2, "tol-inner must be positive and finite")
         return 2
     if args.grid is not None and args.grid < 1:

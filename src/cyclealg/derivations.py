@@ -51,6 +51,7 @@ from .representations import (
     DiagZero,
     Lambda,
     RepPoint,
+    _vertex,
     eval_rep,
     phi_generator_values,
 )
@@ -100,10 +101,8 @@ class GenDerivation:
         n = len(self.values_e)
         if len(self.values_Z) != n or n < 1:
             raise DimensionMismatch("need one value per generator")
-        if isinstance(self.point, DiagZero) and self.point.i > n:
-            raise DimensionMismatch(
-                f"vertex {self.point.i} out of range for n = {n}"
-            )
+        if isinstance(self.point, DiagZero):
+            _vertex(self.point, n)
         dim = n if isinstance(self.point, Lambda) else 1
         object.__setattr__(
             self, "values_e", tuple(_as_locked(v, dim) for v in self.values_e)
@@ -512,37 +511,14 @@ def canonical_kernel_elements(n: int, lam: complex) -> list[CycleElement]:
     first vertex alone, and on the first arrow position.  At n = 1 the full
     diagonal is the first vertex, so two elements are returned.
     """
-    w0 = lam**n
-    factor = Poly([-w0, 1.0])
-    full_diag = diagonal(n, factor)
-    at_vertex = CycleElement(
-        n,
-        tuple(
-            tuple(
-                factor if i == j == 0 else Poly() for j in range(n)
-            )
-            for i in range(n)
-        ),
-    )
-    if n == 1:
-        arrow_entry = factor.shift(1)
-        arrow_pos = (0, 0)
-    else:
-        arrow_entry = factor
-        arrow_pos = (0, 1)
-    at_arrow = CycleElement(
-        n,
-        tuple(
-            tuple(
-                arrow_entry if (i, j) == arrow_pos else Poly()
-                for j in range(n)
-            )
-            for i in range(n)
-        ),
-    )
-    if n == 1:
-        return [full_diag, at_arrow]
-    return [full_diag, at_vertex, at_arrow]
+    factor = [-(lam**n), 1.0]
+    shift = int(n == 1)  # the n = 1 arrow is w itself
+    tensors = np.zeros((3, n, n, 3), dtype=complex)
+    tensors[0, range(n), range(n), :2] = factor
+    tensors[1, 0, 0, :2] = factor
+    tensors[2, 0, 1 % n, shift : shift + 2] = factor
+    elements = [CycleElement(n, c) for c in tensors]
+    return elements[::2] if n == 1 else elements
 
 
 def _distinct_powers(grid: int, n: int) -> int:

@@ -8,10 +8,10 @@ coefficients of modulus <= EPS_COEFF are trimmed on construction; interior
 ones are kept.  So the zero polynomial is the empty coefficient vector and
 ``degree`` of zero is -1.
 
-Canonicalization happens in one routine, ``_trim_rows``, which trims a whole
-stack of coefficient rows in one vectorized pass.  ``Poly(...)`` applies it to
-one row; the element layer applies it to all n**2 entries of an element at
-once and wraps the rows with ``Poly._from_trimmed``, which skips the trim.
+Canonicalization happens in one routine, ``_trim``, which trims every row of
+a coefficient array of any shape in one vectorized pass.  ``Poly(...)``
+applies it to one row; the element layer applies it to the (n, n, L) array
+that holds all n**2 entries of an element.
 """
 
 from __future__ import annotations
@@ -35,39 +35,37 @@ __all__ = [
 ]
 
 
-_NO_COEFFS = np.zeros(0, dtype=complex)
-_NO_COEFFS.flags.writeable = False
+def _trim(stack) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical form of a stack of coefficient rows, and the row ends.
 
-
-def _trim_rows(stack) -> list[np.ndarray]:
-    """The rows of a 2-D stack, each cut after its last coefficient of
-    modulus above EPS_COEFF.
-
-    The rows are read-only views of one owned copy of the stack, so the
-    caller may go on writing to its own array.
+    The rows run along the last axis and may carry any leading axes.  Each
+    row is cut after its last coefficient of modulus above EPS_COEFF;
+    ``ends`` holds the kept length of each row, every slot past an end reads
+    +0.0, and the columns past the longest row are dropped.  Both results
+    are read-only and own their data, so the caller may go on writing to
+    its own array.
     """
-    c = np.array(stack, dtype=complex)
-    rows, length = c.shape
+    c = np.asarray(stack, dtype=complex)
+    length = c.shape[-1]
     # a True column in front of the test marks the end of a row in which no
     # coefficient passes, so the last True of each row is found by argmax
-    big = np.ones((rows, length + 1), dtype=bool)
-    np.greater(np.abs(c), config.EPS_COEFF, out=big[:, 1:])
-    ends = (length - big[:, ::-1].argmax(axis=1)).tolist()
-    top = max(ends, default=0)
-    c.flags.writeable = False
-    return [
-        row if end == top else row[:end] if end else _NO_COEFFS
-        for row, end in zip(c[:, :top], ends)
-    ]
+    big = np.ones(c.shape[:-1] + (length + 1,), dtype=bool)
+    np.greater(np.abs(c), config.EPS_COEFF, out=big[..., 1:])
+    ends = np.asarray(length - big[..., ::-1].argmax(axis=-1))
+    top = int(ends.max(initial=0))
+    canonical = np.where(np.arange(top) < ends[..., None], c[..., :top], 0j)
+    canonical.flags.writeable = False
+    ends.flags.writeable = False
+    return canonical, ends
 
 
 def _canonical(coeffs) -> np.ndarray:
-    """One row of coefficients, trimmed as ``_trim_rows`` trims each row."""
+    """One row of coefficients, trimmed as ``_trim`` trims each row."""
     c = np.array(coeffs, dtype=complex).ravel()
     if not len(c) or abs(c[-1]) > config.EPS_COEFF:
         c.flags.writeable = False  # nothing to trim
         return c
-    return _trim_rows(c[None])[0]
+    return _trim(c)[0]
 
 
 class Poly:
@@ -84,18 +82,6 @@ class Poly:
 
     def __init__(self, coeffs: Iterable[complex] = ()):
         object.__setattr__(self, "coeffs", _canonical(coeffs))
-
-    @classmethod
-    def _from_trimmed(cls, coeffs: np.ndarray) -> Poly:
-        """A Poly holding coeffs itself: a read-only complex row that is
-        already canonical, such as a row of ``_trim_rows``.
-
-        Only this module and the element layer call it (a source rule in
-        the tests holds them to that), so every trim is ``_trim_rows``.
-        """
-        p = object.__new__(cls)
-        object.__setattr__(p, "coeffs", coeffs)
-        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -223,10 +209,6 @@ class Poly:
 
     def to_json(self) -> list[list[float]]:
         return [[float(z.real), float(z.imag)] for z in self.coeffs]
-
-
-# the zero polynomial, shared by every empty entry the element layer builds
-_EMPTY = Poly()
 
 
 def _coerce(x) -> Poly:

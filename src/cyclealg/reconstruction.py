@@ -132,17 +132,10 @@ class GlobalDerivation:
             raise DimensionMismatch("element and derivation sizes differ")
         n = self.n
         out = zero(n)
-        for i in range(n):
-            for j in range(n):
-                f = a.entries[i][j]
-                if f.is_zero:
-                    continue
-                s = (j - i) % n
-                for d in range(len(f.coeffs)):
-                    c = f.coeffs[d]
-                    if c == 0:
-                        continue
-                    out = out + self._monomial_value(i, s + d * n) * c
+        # row-major over (i, j, d), skipping zero coefficients
+        for i, j, d in zip(*(x.tolist() for x in np.nonzero(a.coeffs))):
+            value = self._monomial_value(i, (j - i) % n + d * n)
+            out = out + value * a.coeffs[i, j, d]
         return out
 
     def to_json(self) -> dict:

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import CycleElement, random_element
-from .algebra import _from_stack, _single_entry_elements
 from .errors import DimensionMismatch
-from .poly import Poly, _complex_pairs, complex_from_json, eval_at_unit_roots
+from .poly import _complex_pairs, complex_from_json, eval_at_unit_roots
 from .poly import int_from_json, powers
 
 __all__ = [
@@ -70,22 +69,24 @@ class DiagZero:
 RepPoint = Lambda | DiagZero
 
 
+def _vertex(point: DiagZero, n: int) -> int:
+    """The 0-based vertex of a DiagZero point, which must lie on the n-cycle."""
+    if point.i > n:
+        raise DimensionMismatch(f"vertex {point.i} out of range for n = {n}")
+    return point.i - 1
+
+
 def eval_rep(point: RepPoint, a: CycleElement) -> np.ndarray:
     """Value of the representation at the given point.
 
     Lambda points give an n x n complex matrix, DiagZero points a 1 x 1.
     """
-    n = a.n
     if isinstance(point, Lambda):
         R = a.realized_coeffs()
         return R @ powers(point.value, R.shape[2])
     if isinstance(point, DiagZero):
-        if point.i > n:
-            raise DimensionMismatch(
-                f"vertex {point.i} out of range for n = {n}"
-            )
-        f = a.entries[point.i - 1][point.i - 1]
-        c = f.coeffs[0] if len(f.coeffs) else 0j
+        i = _vertex(point, a.n)
+        c = a.coeffs[i, i, 0] if a.ends[i, i] else 0j
         return np.array([[c]], dtype=complex)
     raise TypeError(f"not a representation point: {point!r}")
 
@@ -131,33 +132,29 @@ def kernel_sample(
     instead.  DiagZero points: random elements with the constant term of the
     pinned diagonal entry removed.  Membership is checked internally.
     """
-    factor, vertices = None, ()
+    factor, vertices = None, []
     if isinstance(point, Lambda) and abs(point.value) > 1e-12:
-        factor = Poly([-(point.value**n), 1.0])
+        factor = np.array([-(point.value**n), 1.0], dtype=complex)
     elif isinstance(point, Lambda):
-        vertices = range(n)
+        vertices = list(range(n))
     elif isinstance(point, DiagZero):
-        if point.i > n:
-            raise DimensionMismatch(
-                f"vertex {point.i} out of range for n = {n}"
-            )
-        vertices = (point.i - 1,)
+        vertices = [_vertex(point, n)]
     else:
         raise TypeError(f"not a representation point: {point!r}")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
         g = random_element(n, rng, deg=deg, scale=scale)
-        # the entries of g, times the factor, in one array trimmed once
-        stack = np.zeros((n * n, deg + 2), dtype=complex)
-        for row, p in zip(stack, (p for r in g.entries for p in r)):
-            c = p.coeffs
-            if factor is not None and len(c):
-                c = np.convolve(factor.coeffs, c)  # as in factor * p
-            row[: len(c)] = c
-        for i in vertices:
-            stack[i * n + i, 0] = 0.0
-        k = _from_stack(n, stack)
+        stack = np.zeros((n, n, deg + 2), dtype=complex)
+        if factor is None:
+            stack[..., : g.coeffs.shape[2]] = g.coeffs
+        else:
+            for i, j in zip(*np.nonzero(g.ends)):
+                # as in Poly factor * entry
+                c = np.convolve(factor, g.coeffs[i, j, : g.ends[i, j]])
+                stack[i, j, : len(c)] = c
+        stack[vertices, vertices, 0] = 0.0
+        k = CycleElement(n, stack)
         off = float(np.max(np.abs(eval_rep(point, k))))
         if off > 1e-12 * (1.0 + scale):
             raise RuntimeError(f"kernel sample evaluates to {off:.3e}")
@@ -231,20 +228,16 @@ def kernel_square_witness(
     if not isinstance(point, DiagZero):
         raise TypeError("kernel_square_witness needs a DiagZero point")
     n = k.n
-    if point.i > n:
-        raise DimensionMismatch(f"vertex {point.i} out of range for n = {n}")
+    i0 = _vertex(point, n)
     if float(np.max(np.abs(eval_rep(point, k)))) > 1e-12:
         raise ValueError("element is not in the kernel at this point")
-    i0 = point.i - 1
     # span monomials (a, b, d), row-major; e_i itself is not in the kernel
     in_span = np.ones((n, n, budget + 1), dtype=bool)
     in_span[i0, i0, 0] = False
     span = np.argwhere(in_span)
     L = max(2 * budget + 2, k.max_degree + 1, 1)
     target = np.zeros((n, n, L), dtype=complex)
-    for i, row in enumerate(k.entries):
-        for j, f in enumerate(row):
-            target[i, j, : len(f.coeffs)] = f.coeffs
+    target[..., : k.coeffs.shape[2]] = k.coeffs
     target = target.ravel()
     # pairs (s, t) in row-major order whose middle vertices agree
     s, t = np.nonzero(span[:, 1, None] == span[None, :, 0])
@@ -259,15 +252,17 @@ def kernel_square_witness(
     weights = target[slot] / count[slot]
     keep = np.nonzero(np.abs(weights) > 1e-12)[0]
     # factor t is monomial_elem(...) * weight: the unit row of its power
-    # times the weight, all rows trimmed in one pass
+    # times the weight, at its position
     units = np.eye(budget + 1, dtype=complex)[span[:, 2]]
+
+    def factors(index, rows):
+        stack = np.zeros((len(index), n, n, budget + 1), dtype=complex)
+        stack[np.arange(len(index)), span[index, 0], span[index, 1]] = rows
+        return [CycleElement(n, c) for c in stack]
+
     right = np.unique(t[keep])
-    rights = dict(
-        zip(right, _single_entry_elements(n, span[right, :2], units[right]))
-    )
-    lefts = _single_entry_elements(
-        n, span[s[keep], :2], units[s[keep]] * weights[keep, None]
-    )
+    rights = dict(zip(right, factors(right, units[right])))
+    lefts = factors(s[keep], units[s[keep]] * weights[keep, None])
     pairs = tuple(zip(lefts, (rights[index] for index in t[keep])))
     return KernelSquareResult(True, budget, residual, pairs)
 

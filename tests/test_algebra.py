@@ -34,7 +34,7 @@ from cyclealg.errors import (
 )
 from cyclealg.config import EPS_COEFF
 from cyclealg.derivations import canonical_kernel_elements
-from cyclealg.poly import Poly, poly_from_json
+from cyclealg.poly import Poly, _trim, poly_from_json
 
 
 def realized_product(a: CycleElement, b: CycleElement) -> np.ndarray:
@@ -435,8 +435,7 @@ def test_random_element_normalized():
 
 def entrywise(op, *elements) -> CycleElement:
     n = elements[0].n
-    return CycleElement(
-        n,
+    return CycleElement.from_rows(
         tuple(
             tuple(op(*(e.entries[i][j] for e in elements)) for j in range(n))
             for i in range(n)
@@ -473,7 +472,7 @@ def mul_oracle(a, b, deg_max=None) -> CycleElement:
                 raise DegreeOverflow(p.degree, cap)
             row.append(p)
         rows.append(tuple(row))
-    return CycleElement(n, tuple(rows))
+    return CycleElement.from_rows(tuple(rows))
 
 
 def bits(a: CycleElement):
@@ -511,8 +510,8 @@ def elements(draw, n):
         return monomial_elem(n, i, j, draw(st.integers(0, 3)), coeff)
     if kind == "zero":
         return zero(n)
-    return CycleElement(
-        n, tuple(tuple(draw(POLYS) for _ in range(n)) for _ in range(n))
+    return CycleElement.from_rows(
+        tuple(tuple(draw(POLYS) for _ in range(n)) for _ in range(n))
     )
 
 
@@ -522,8 +521,7 @@ def operand_pairs(draw):
     a = draw(elements(n))
     if draw(st.booleans()):
         # b cancels a on some entries, so sums trim down to nothing there
-        b = CycleElement(
-            n,
+        b = CycleElement.from_rows(
             tuple(
                 tuple(-p if draw(st.booleans()) else draw(POLYS) for p in row)
                 for row in a.entries
@@ -547,6 +545,34 @@ def test_bulk_arithmetic_matches_entrywise_bit_for_bit(pair, c):
     assert bits((a + b) - a) == bits(
         entrywise(lambda p, q: (p + q) + (-p), a, b)
     )
+
+
+def assert_canonical(a: CycleElement):
+    """One read-only (n, n, L) array: every entry trimmed as ``_trim``
+    trims it, +0.0 in every slot past an end, and L the longest entry."""
+    want, ends = _trim(a.coeffs)
+    assert not a.coeffs.flags.writeable and not a.ends.flags.writeable
+    assert a.coeffs.shape == (a.n, a.n, a.coeffs.shape[2])
+    assert a.ends.tolist() == ends.tolist()
+    assert a.coeffs.tobytes() == want.tobytes()
+    past = np.arange(a.coeffs.shape[2]) >= a.ends[..., None]
+    assert a.coeffs[past].tobytes() == np.zeros(past.sum(), complex).tobytes()
+    assert a.coeffs.shape[2] == a.ends.max()
+
+
+@settings(max_examples=200, deadline=None)
+@given(operand_pairs(), SCALARS)
+def test_every_operation_keeps_the_canonical_array(pair, c):
+    a, b = pair
+    results = [a + b, a - b, -a, a * c, c * a, (a + b) - a]
+    results.append(element_from_json(json.loads(json.dumps(a.to_json()))))
+    results.append(parse_realized(a.realize(), a.n))
+    try:
+        results.append(mul_elem(a, b))
+    except DegreeOverflow:
+        pass
+    for r in results:
+        assert_canonical(r)
 
 
 @settings(max_examples=200, deadline=None)
@@ -598,7 +624,9 @@ def test_random_element_matches_entrywise_draw(n, deg, scale, normalize, seed):
         top = max(float(np.sum(np.abs(c))) for row in grid for c in row)
         if top > 0:
             grid = [[c * (1.0 / top) for c in row] for row in grid]
-    want = CycleElement(n, tuple(tuple(Poly(c) for c in row) for row in grid))
+    want = CycleElement.from_rows(
+        tuple(tuple(Poly(c) for c in row) for row in grid)
+    )
     assert bits(got) == bits(want)
 
 
@@ -609,7 +637,7 @@ def legacy_element_from_json(data):
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed element JSON: {exc}") from exc
-    return CycleElement(data["n"], rows)
+    return CycleElement.from_rows(rows, data["n"])
 
 
 def outcome(read, data):

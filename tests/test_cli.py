@@ -721,6 +721,20 @@ def test_malformed_json_reports_location(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("text", ["5", "[1, 2]", '"x"', "null"])
+@pytest.mark.parametrize("command", [c for c in _COMMANDS if c != "suite"])
+def test_input_that_is_no_object_is_an_input_error(
+    tmp_path, capsys, command, text
+):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, out, err = run(capsys, [command, "--input", str(path)])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "input must be a JSON object", "exit_code": 2
+    }
+
+
 def test_missing_input_flag(capsys):
     code, _, err = run(capsys, ["eval"])
     assert code == 2 and "--input" in err

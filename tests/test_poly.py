@@ -11,7 +11,7 @@ from cyclealg.config import EPS_COEFF
 from cyclealg.errors import RootMismatch
 from cyclealg.poly import (
     Poly,
-    _trim_rows,
+    _trim,
     complex_from_json,
     eval_at_unit_roots,
     interpolate_roots_of_unity,
@@ -321,20 +321,20 @@ def test_poly_trim_matches_oracle_bit_for_bit(coeffs):
 
 
 @given(st.lists(COEFFS, max_size=5), st.integers(0, 3))
-def test_trim_rows_matches_poly_row_by_row(rows, extra):
+def test_trim_matches_poly_row_by_row(rows, extra):
     length = max(map(len, rows), default=0) + extra
     stack = np.zeros((len(rows), length), dtype=complex)
     for out, c in zip(stack, rows):
         out[: len(c)] = c
-    trimmed = _trim_rows(stack)
-    assert len(trimmed) == len(rows)
-    for got, c in zip(trimmed, rows):
-        assert got.tobytes() == Poly(c).coeffs.tobytes()
-        assert not got.flags.writeable
+    trimmed, ends = _trim(stack)
+    assert len(trimmed) == len(ends) == len(rows)
+    assert not trimmed.flags.writeable
+    for got, end, c in zip(trimmed, ends, rows):
+        assert got[:end].tobytes() == Poly(c).coeffs.tobytes()
     stack[:] = 7.0  # the rows live in the routine's own copy
     assert all(
-        got.tobytes() == Poly(c).coeffs.tobytes()
-        for got, c in zip(trimmed, rows)
+        got[:end].tobytes() == Poly(c).coeffs.tobytes()
+        for got, end, c in zip(trimmed, ends, rows)
     )
 
 
@@ -345,11 +345,4 @@ def test_trim_threshold_is_inclusive():
     assert Poly([1.0, above]).coeffs.tolist() == [1.0, above]
     # interior small coefficients stay; only trailing ones go
     assert Poly([EPS_COEFF, 0.0, 1.0]).degree == 2
-    assert [len(c) for c in _trim_rows(np.zeros((2, 0)))] == [0, 0]
-
-
-def test_from_trimmed_keeps_the_row():
-    row = _trim_rows(np.array([[1.0, 2.0, 0.0]]))[0]
-    p = Poly._from_trimmed(row)
-    assert p.coeffs is row
-    assert p == Poly([1.0, 2.0])
+    assert _trim(np.zeros((2, 0)))[1].tolist() == [0, 0]

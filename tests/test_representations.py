@@ -206,7 +206,7 @@ def kernel_sample_oracle(point, n, seed, count, deg, scale=1.0):
                 if len(c):
                     c[0] = 0.0
                 rows[i][i] = Poly(c)
-        out.append(CycleElement(n, tuple(tuple(row) for row in rows)))
+        out.append(CycleElement.from_rows(rows))
     return out
 
 
@@ -453,7 +453,7 @@ def test_kernel_equals_its_square_at_every_scalar_point(n):
         for a in range(n):
             f = k.entries[a][i0]
             rows[a][prev] = Poly(f.coeffs[1:]) if a == i0 else f
-        k_prime = CycleElement(n, tuple(tuple(r) for r in rows))
+        k_prime = CycleElement.from_rows(rows)
         factors = [(k, es[j]) for j in range(n) if j != i0]
         factors.append((k_prime, Zs[prev]))
         total = zero(n)

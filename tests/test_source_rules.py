@@ -53,15 +53,14 @@ def test_batched_spectral_norms_live_in_algebra():
     assert list(_batched_spectral_norms(ast.parse(algebra.read_text())))
 
 
-def test_trusted_poly_constructor_stays_in_the_element_layer():
-    # Poly._from_trimmed skips canonicalization; only the trim routine's
-    # own module and the element layer, which feeds it trimmed rows, may
-    # call it, so canonicalization cannot fork into a second routine
-    calls = [
-        (path.name, node.lineno)
+def test_only_the_element_layer_reads_entries():
+    # an element is one coefficient array; entries is a view of it as Poly
+    # objects, which the rest of the library reads through coeffs and ends
+    reads = [
+        f"{path.name}:{node.lineno}"
         for path in SOURCES
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Attribute) and node.attr == "_from_trimmed"
+        if isinstance(node, ast.Attribute) and node.attr == "entries"
+        and path.name != "algebra.py"
     ]
-    assert {name for name, _ in calls} <= {"poly.py", "algebra.py"}, calls
-    assert any(name == "algebra.py" for name, _ in calls)
+    assert reads == []
