@@ -24,6 +24,9 @@ and 6 on fixed seeded inputs:
 - ``kernel_sample`` of 20 degree-6 elements at the same Lambda point,
 - ``kernel_square_witness`` with budget 2 on a degree-2 kernel sample at
   ``DiagZero(1)``, at n = 2, 3, 4 and 6 instead,
+- ``inner_solve`` of seeded random 1 x 1 data at ``DiagZero(1)``, at n = 1,
+  3 and 6 instead (``null`` in a column whose checkout refuses that
+  point),
 - the ``approx-identity`` command through ``cli.main`` (report written to
   the null device) at lambda = exp(0.7i), k = 1, 2, 4, ..., 4096, on the
   default grid and the canonical kernel elements, at n = 1, 2 and 3
@@ -66,6 +69,7 @@ from pathlib import Path
 
 SIZES = (1, 2, 4, 6)
 KERNEL_SIZES = (2, 3, 4, 6)
+DIAG0_SIZES = (1, 3, 6)
 LADDER_SIZES = (1, 2, 3)
 RECONSTRUCT_SIZES = (2, 4, 6, 8)
 LADDER = [2**j for j in range(13)]  # 1 .. 4096
@@ -123,7 +127,7 @@ def measure(src: str) -> dict:
         D = GenDerivation.from_commutator(point, X, n)
         a = random_element(n, rng, deg=DEG, normalize=True)
         b = random_element(n, rng, deg=DEG, normalize=True)
-        ab = mul_elem(a, b, deg_max=2 * DEG + 2)
+        ab = mul_elem(a, b)
         cases = {
             "GenDerivation.apply": lambda: D.apply(ab),
             "eval_rep": lambda: eval_rep(point, ab),
@@ -133,7 +137,7 @@ def measure(src: str) -> dict:
             "random_element(normalize=True)": lambda: random_element(
                 n, rng, deg=DEG, normalize=True
             ),
-            "mul_elem": lambda: mul_elem(a, b, deg_max=2 * DEG + 2),
+            "mul_elem": lambda: mul_elem(a, b),
             "CycleElement.__sub__": lambda: a - b,
             "CycleElement.to_json": lambda: a.to_json(),
             "kernel_sample(count=20)": lambda: kernel_sample(
@@ -152,6 +156,16 @@ def measure(src: str) -> dict:
         out.setdefault("kernel_square_witness", {})[f"n{n}"] = median_call(
             lambda: kernel_square_witness(DiagZero(1), k, budget=2)
         )
+    for n in DIAG0_SIZES:
+        rng = np.random.default_rng(650 + n)
+        values = rng.normal(size=(2, n, 1, 1, 2)) @ [1.0, 1j]
+        D = GenDerivation(DiagZero(1), tuple(values[0]), tuple(values[1]))
+        try:
+            inner_solve(D)
+            cell = median_call(lambda: inner_solve(D))
+        except ValueError:  # a checkout that solves at Lambda points only
+            cell = None
+        out.setdefault("inner_solve(DiagZero(1))", {})[f"n{n}"] = cell
     lam = complex(np.exp(0.7j))
     for n in RECONSTRUCT_SIZES:
         rng = np.random.default_rng(700 + n)

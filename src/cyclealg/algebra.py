@@ -30,7 +30,7 @@ from itertools import chain
 import numpy as np
 
 from . import config
-from .errors import DegreeOverflow, DimensionMismatch, NotInAlgebra
+from .errors import DimensionMismatch, NotInAlgebra
 from .poly import Poly, _complex_pairs, _trim
 from .poly import eval_at_unit_roots
 from .poly import int_from_json, poly_from_json
@@ -295,16 +295,12 @@ def generators(n: int) -> tuple[list[CycleElement], list[CycleElement]]:
     )
 
 
-def mul_elem(
-    a: CycleElement, b: CycleElement, deg_max: int | None = None
-) -> CycleElement:
-    """Product in the algebra.
+def mul_elem(a: CycleElement, b: CycleElement) -> CycleElement:
+    """Product in the algebra, exact at every degree.
 
     Step counts add along the path i -> k -> j; when the concatenated path
     overshoots a full loop relative to the direct one, the excess loop turns
-    into one extra power of w on the product entry.  Entries whose canonical
-    degree would exceed the cap raise DegreeOverflow, for the first such
-    entry in row-major order; the default cap is config.DEG_MAX.
+    into one extra power of w on the product entry.
 
     Only nonzero entries a[i][k] and b[k][j] are convolved, so a product
     with a generator costs n or n**2 convolutions.  Each product entry is
@@ -330,12 +326,7 @@ def mul_elem(
                 ) // n
                 prod = np.convolve(p, q)
                 out[i, j, excess : excess + len(prod)] += prod
-    product = CycleElement(n, out)
-    cap = config.DEG_MAX if deg_max is None else deg_max
-    if product.max_degree > cap:
-        first = int(np.argmax(product.ends > cap + 1))  # row-major
-        raise DegreeOverflow(int(product.ends.flat[first]) - 1, cap)
-    return product
+    return CycleElement(n, out)
 
 
 def parse_realized(realized, n: int | None = None) -> CycleElement:

@@ -147,20 +147,6 @@ def _cmd_inner_check(args) -> tuple[int, dict]:
         report["verdict"] = "indeterminate"
         report["reason"] = "generator data does not satisfy the Leibniz rule"
         return 1, report
-    if isinstance(D.point, DiagZero):
-        top = max(
-            float(np.max(np.abs(v)))
-            for v in (*D.values_e, *D.values_Z)
-        )
-        if top <= args.tol_inner:
-            report["verdict"] = "inner"
-            report["X"] = matc_to_json(np.zeros((1, 1), complex))
-            report["residual"] = top
-            return 0, report
-        report["verdict"] = "not_inner"
-        report["residual"] = top
-        _add_kernel_witness(report, D, args.seed)
-        return 1, report
     solve = inner_solve(D, tol=args.tol_inner)
     report["residual"] = solve.residual
     if solve.consistent:
@@ -172,7 +158,7 @@ def _cmd_inner_check(args) -> tuple[int, dict]:
         report["verdict"] = "not_inner"
         _add_kernel_witness(report, D, args.seed)
         code = 1
-    if args.split:
+    if args.split and isinstance(D.point, Lambda):
         if abs(D.point.value) <= 1e-15:
             split = decompose_at_zero(D)
             report["split"] = {

@@ -9,9 +9,9 @@ behaviour when a caller does not say otherwise.
 # matrices in the algebra.
 EPS_COEFF = 1e-9
 
-# Default cap on the base-variable degree of entries produced by
-# multiplication and reconstruction.  Exceeding a cap raises DegreeOverflow;
-# nothing is ever silently truncated.
+# Default cap on the base-variable degree of a reconstructed witness
+# (reconstruct --deg-max) and the degree behind the default boundary grid.
+# Exceeding it raises DegreeOverflow; products are exact at every degree.
 DEG_MAX = 64
 
 # Residual threshold deciding whether a linear system for an inner witness

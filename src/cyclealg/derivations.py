@@ -53,7 +53,7 @@ from .representations import (
     RepPoint,
     _vertex,
     eval_rep,
-    phi_generator_values,
+    generator_images,
 )
 
 __all__ = [
@@ -119,22 +119,17 @@ class GenDerivation:
     def from_commutator(
         cls, point: RepPoint, X: np.ndarray, n: int
     ) -> GenDerivation:
-        """The inner derivation a -> phi(a) X - X phi(a) on generators."""
-        if isinstance(point, Lambda):
-            phi_e, phi_Z = phi_generator_values(n, point.value)
-        elif isinstance(point, DiagZero):
-            # scalar representation: every commutator collapses to zero
-            phi_e = [np.zeros((1, 1), complex) for _ in range(n)]
-            phi_Z = [np.zeros((1, 1), complex) for _ in range(n)]
-            X = np.zeros((1, 1), complex)
-        else:
-            raise TypeError(f"not a representation point: {point!r}")
-        X = np.asarray(X, dtype=complex)
-        return cls(
-            point,
-            tuple(p @ X - X @ p for p in phi_e),
-            tuple(p @ X - X @ p for p in phi_Z),
-        )
+        """The inner derivation a -> phi(a) X - X phi(a) on generators.
+
+        X is read on its leading d x d block, d the dimension of the point:
+        at a DiagZero point every commutator of the 1 x 1 images is 0,
+        whatever X is.
+        """
+        images = generator_images(point, n)
+        d = images.shape[1]
+        X = np.asarray(X, dtype=complex)[:d, :d]
+        values = [p @ X - X @ p for p in images]
+        return cls(point, tuple(values[:n]), tuple(values[n:]))
 
     @cached_property
     def _stacked(self) -> np.ndarray:
@@ -257,7 +252,7 @@ def check_leibniz(
     for _ in range(trials):
         a = random_element(n, rng, deg=deg, normalize=True)
         b = random_element(n, rng, deg=deg, normalize=True)
-        ab = mul_elem(a, b, deg_max=2 * deg + 2)
+        ab = mul_elem(a, b)
         resid = D(ab) - D(a) @ eval_rep(point, b) - eval_rep(point, a) @ D(b)
         worst = max(worst, _spectral(resid))
         if stop_above is not None and worst >= stop_above:
@@ -272,14 +267,12 @@ def relation_residual(D: GenDerivation) -> tuple[float, str]:
     the defect is the spectral norm of D(c) - D(a) phi(b) - phi(a) D(b).
     The data extends to a point derivation exactly when every defect is
     zero.  Returns the worst defect and the relation that attains it, e.g.
-    ``"e_0 Z_0 = Z_0"`` or ``"Z_1 e_0 = 0"`` (0-based indices).
+    ``"e_0 Z_0 = Z_0"`` or ``"Z_1 e_0 = 0"`` (0-based indices).  The images
+    phi(a) are those of ``generator_images``, at either kind of point.
     """
     n = D.n
-    if isinstance(D.point, Lambda):
-        Pe, PZ = map(np.array, phi_generator_values(n, D.point.value))
-    else:  # DiagZero(i): e_k -> delta_{k,i-1}, every arrow -> 0
-        Pe, PZ = np.zeros((2, n, 1, 1), complex)
-        Pe[D.point.i - 1] = 1.0
+    images = generator_images(D.point, n)
+    Pe, PZ = images[:n], images[n:]
     Ve, VZ = np.array(D.values_e), np.array(D.values_Z)
     same = np.eye(n)[:, :, None, None]  # [a, b] -> delta_ab
     step = np.roll(same, 1, axis=1)  # [j, k] -> delta_{k,j+1}
@@ -357,20 +350,22 @@ def _commutators(P: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _inner_solve_core(
-    phi_list: Sequence[np.ndarray],
+    P: np.ndarray,
     value_stacks: Sequence[np.ndarray],
-    n: int,
     floor: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least squares for phi(g) X - X phi(g) = D(g) over all generators g.
 
-    Each g brings a (K, n, n) stack of values: K right-hand sides sharing
-    one matrix, solved in one call.  Zero rows of the matrix carry no
-    unknown and are dropped; residuals are taken on the full equations, so
-    data in those entries still counts.  Returns the K minimum-norm
-    solutions shifted so X[0, 0] = 0 exactly (the identity is central, so
-    the shift never changes any commutator) and, per right-hand side, the
-    worst spectral residual over the generator equations.  Through
+    P is the (G, n, n) stack of images phi(g), as ``generator_images``
+    returns it; n is read from its shape.  Each g brings a (K, n, n) stack
+    of values: K right-hand sides sharing one matrix, solved in one call.
+    Zero rows of the matrix carry no unknown and are dropped (at a DiagZero
+    point that is every row, and X = 0); residuals are taken on the full
+    equations, so data in those entries still counts.  Returns the K
+    minimum-norm solutions shifted so X[0, 0] = 0 exactly (the identity is
+    central, so the shift never changes any commutator) and, per
+    right-hand side, the worst spectral residual over the generator
+    equations.  Through
     ``spectral_norms`` that residual is exact, bit for bit, at its max and
     wherever it exceeds floor; elsewhere it may read an upper bound that
     stays below both.  The residuals are taken on chunks of about K / (2n)
@@ -378,8 +373,8 @@ def _inner_solve_core(
     values; each chunk's commutators come from two stacked matrix products
     per generator (``_commutators``).
     """
+    n = P.shape[1]
     eye = np.eye(n, dtype=complex)
-    P = np.stack(phi_list)
     blocks = _commutator_blocks(P)
     live = np.any(blocks != 0, axis=2)
     x, *_ = np.linalg.lstsq(
@@ -402,19 +397,20 @@ def _inner_solve_core(
 
 
 def inner_solve(D: GenDerivation, tol: float | None = None) -> InnerSolveResult:
-    """Decide whether derivation data at a Lambda point is inner.
+    """Decide whether derivation data at a representation point is inner.
 
-    Solves the commutator equations on all 2n generators by least squares
-    and reports the post-hoc worst-case residual; data counts as inner when
-    the residual is at most the tolerance (default config.TOL_INNER).
+    Solves the commutator equations on all 2n generators, with the images
+    of ``generator_images``, by least squares and reports the post-hoc
+    worst-case residual; data counts as inner when the residual is at most
+    the tolerance (default config.TOL_INNER).  At a DiagZero point every
+    commutator of the 1 x 1 images is 0, so the system is empty: X = 0 and
+    the residual is the largest generator value.
     """
-    if not isinstance(D.point, Lambda):
-        raise ValueError("inner_solve needs derivation data at a Lambda point")
     tol = config.TOL_INNER if tol is None else tol
-    n = D.n
-    phi_e, phi_Z = phi_generator_values(n, D.point.value)
     X, residual = _inner_solve_core(
-        phi_e + phi_Z, [v[None] for v in (*D.values_e, *D.values_Z)], n, tol
+        generator_images(D.point, D.n),
+        [v[None] for v in (*D.values_e, *D.values_Z)],
+        tol,
     )
     residual = float(residual[0])
     return InnerSolveResult(D.point, X[0], residual, residual <= tol, tol)

@@ -37,9 +37,9 @@ from .representations import (
     Lambda,
     eval_rep,
     eval_rep_at_unit_roots,
+    generator_images,
     matc_from_json,
     matc_to_json,
-    phi_generator_values,
 )
 
 __all__ = [
@@ -119,9 +119,8 @@ class GlobalDerivation:
             arrow_idx = (i + m - 1) % n
             arrow = gen_Z(n, arrow_idx + 1)
             prefix = _path_monomial(n, i, m - 1)
-            cap = max(config.DEG_MAX, self.value_degree + m // n + 2)
-            value = mul_elem(prev, arrow, deg_max=cap) + mul_elem(
-                prefix, self.values_Z[arrow_idx], deg_max=cap
+            value = mul_elem(prev, arrow) + mul_elem(
+                prefix, self.values_Z[arrow_idx]
             )
         self._monomial_cache[key] = value
         return value
@@ -164,9 +163,8 @@ def _path_monomial(n: int, i: int, m: int) -> CycleElement:
 
 
 def _bracket(g: CycleElement, X: CycleElement) -> CycleElement:
-    """g X - X g for a generator g, which adds at most one w-degree."""
-    cap = max(config.DEG_MAX, X.max_degree + 2)
-    return mul_elem(g, X, deg_max=cap) - mul_elem(X, g, deg_max=cap)
+    """g X - X g for a generator g."""
+    return mul_elem(g, X) - mul_elem(X, g)
 
 
 def localize(D: GlobalDerivation, lam: complex) -> GenDerivation:
@@ -250,11 +248,9 @@ def solve_boundary_field(
     loc_Z = [eval_rep_at_unit_roots(v, m) for v in D.values_Z]
     for loc in loc_Z:
         loc /= roots[:, None, None]
-    phi_e, phi_Z = phi_generator_values(n, 1.0)
     X_at, residual = _inner_solve_core(
-        phi_e + phi_Z,
+        generator_images(Lambda(1.0), n),
         [eval_rep_at_unit_roots(v, m) for v in D.values_e] + loc_Z,
-        n,
         tol,
     )
     worst = float(residual.max())

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CycleElement, random_element
+from .algebra import CycleElement, _grid_values, random_element
 from .errors import DimensionMismatch
 from .poly import _complex_pairs, complex_from_json, eval_at_unit_roots
 from .poly import int_from_json, powers
@@ -27,7 +27,7 @@ __all__ = [
     "RepPoint",
     "eval_rep",
     "eval_rep_at_unit_roots",
-    "phi_generator_values",
+    "generator_images",
     "kernel_sample",
     "semisimplicity_certificate",
     "SemisimplicityVerdict",
@@ -96,24 +96,28 @@ def eval_rep_at_unit_roots(a: CycleElement, m: int) -> np.ndarray:
 
     Exact for any entry degree; exponents fold modulo m on the root grid.
     """
-    values = eval_at_unit_roots(a.realized_coeffs(), m)
-    return np.ascontiguousarray(np.moveaxis(values, 2, 0))
+    return np.ascontiguousarray(_grid_values(a, m))
 
 
-def phi_generator_values(
-    n: int, lam: complex
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Images of the vertex and arrow generators at a Lambda point."""
-    phi_e = []
-    phi_Z = []
-    for i in range(n):
-        E = np.zeros((n, n), dtype=complex)
-        E[i, i] = 1.0
-        phi_e.append(E)
-        A = np.zeros((n, n), dtype=complex)
-        A[i, (i + 1) % n] += lam
-        phi_Z.append(A)
-    return phi_e, phi_Z
+def generator_images(point: RepPoint, n: int) -> np.ndarray:
+    """Images of the 2n generators at a point, shape (2n, d, d).
+
+    Rows 0..n-1 hold phi(e_0..e_{n-1}), rows n..2n-1 phi(Z_0..Z_{n-1}).  At
+    Lambda(lam), d = n: e_i is the unit matrix at (i, i) and Z_i is lam at
+    (i, i+1 mod n).  At DiagZero(i), d = 1: e_{i-1} is 1 and every other
+    generator is 0.
+    """
+    if isinstance(point, Lambda):
+        images = np.zeros((2 * n, n, n), dtype=complex)
+        idx = np.arange(n)
+        images[idx, idx, idx] = 1.0
+        images[n + idx, idx, (idx + 1) % n] += point.value
+        return images
+    if isinstance(point, DiagZero):
+        images = np.zeros((2 * n, 1, 1), dtype=complex)
+        images[_vertex(point, n)] = 1.0
+        return images
+    raise TypeError(f"not a representation point: {point!r}")
 
 
 def kernel_sample(
@@ -126,14 +130,15 @@ def kernel_sample(
 ) -> list[CycleElement]:
     """Random elements of the kernel of the representation at the point.
 
-    Lambda points away from the center: random elements multiplied entrywise
-    by (w - lam**n).  At the center the kernel is larger than that principal
-    ideal, so there the constant terms of all diagonal entries are removed
-    instead.  DiagZero points: random elements with the constant term of the
-    pinned diagonal entry removed.  Membership is checked internally.
+    Lambda points other than the center: random elements multiplied
+    entrywise by (w - lam**n), however small lam is.  At the center the
+    kernel is larger than that principal ideal, so there the constant terms
+    of all diagonal entries are removed instead.  DiagZero points: random
+    elements with the constant term of the pinned diagonal entry removed.
+    Membership is checked internally.
     """
     factor, vertices = None, []
-    if isinstance(point, Lambda) and abs(point.value) > 1e-12:
+    if isinstance(point, Lambda) and point.value != 0:
         factor = np.array([-(point.value**n), 1.0], dtype=complex)
     elif isinstance(point, Lambda):
         vertices = list(range(n))

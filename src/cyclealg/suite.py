@@ -198,7 +198,7 @@ def _check_mul_closure(cfg: SuiteConfig):
         n = int(rng.choice([1, 2, 3, 4, 6]))
         a = random_element(n, rng, deg=8)
         b = random_element(n, rng, deg=8)
-        ab = mul_elem(a, b, deg_max=20)
+        ab = mul_elem(a, b)
         ra, rb, rab = a.realize(), b.realize(), ab.realize()
         for i in range(n):
             for j in range(n):
@@ -217,8 +217,8 @@ def _check_mul_assoc(cfg: SuiteConfig):
     for _ in range(30):
         n = int(rng.choice([1, 2, 3, 5]))
         a, b, c = (random_element(n, rng, deg=5) for _ in range(3))
-        lhs = mul_elem(mul_elem(a, b, deg_max=20), c, deg_max=30)
-        rhs = mul_elem(a, mul_elem(b, c, deg_max=20), deg_max=30)
+        lhs = mul_elem(mul_elem(a, b), c)
+        rhs = mul_elem(a, mul_elem(b, c))
         d = lhs - rhs
         worst = max(worst, d.norm_l1)
     return worst, 1e-9, "<=", "associativity of the structured product"
@@ -232,7 +232,7 @@ def _check_norm_grid(cfg: SuiteConfig):
         n = int(rng.choice([1, 2, 3]))
         a = random_element(n, rng, deg=5)
         b = random_element(n, rng, deg=5)
-        gap = norm(mul_elem(a, b, deg_max=12), cfg.grid) - norm(
+        gap = norm(mul_elem(a, b), cfg.grid) - norm(
             a, cfg.grid
         ) * norm(b, cfg.grid)
         worst = max(worst, gap)
@@ -247,7 +247,7 @@ def _check_rep_hom(cfg: SuiteConfig):
         n = int(rng.choice([1, 2, 3, 4]))
         a = random_element(n, rng, deg=6)
         b = random_element(n, rng, deg=6)
-        ab = mul_elem(a, b, deg_max=14)
+        ab = mul_elem(a, b)
         for lam in pts:
             point = Lambda(lam)
             err = np.max(

@@ -27,11 +27,7 @@ from cyclealg.algebra import (
     spectral_norms,
     zero,
 )
-from cyclealg.errors import (
-    DegreeOverflow,
-    DimensionMismatch,
-    NotInAlgebra,
-)
+from cyclealg.errors import DimensionMismatch, NotInAlgebra
 from cyclealg.config import EPS_COEFF
 from cyclealg.derivations import canonical_kernel_elements
 from cyclealg.poly import Poly, _trim, poly_from_json
@@ -158,19 +154,6 @@ def test_operator_syntax():
     assert a * b == mul_elem(a, b)
     assert 2 * a == a + a
     assert (-a) + a == zero(2)
-
-
-# ----------------------------------------------------------------------
-# degree cap
-# ----------------------------------------------------------------------
-
-
-def test_degree_overflow_raised_not_truncated():
-    a = monomial_elem(1, 1, 1, 3)
-    with pytest.raises(DegreeOverflow):
-        mul_elem(a, a, deg_max=5)
-    # same product under a sufficient cap is exact
-    assert mul_elem(a, a, deg_max=6) == monomial_elem(1, 1, 1, 6)
 
 
 def test_dimension_mismatch():
@@ -435,19 +418,20 @@ def test_random_element_normalized():
 
 def entrywise(op, *elements) -> CycleElement:
     n = elements[0].n
+    grids = [e.entries for e in elements]
     return CycleElement.from_rows(
         tuple(
-            tuple(op(*(e.entries[i][j] for e in elements)) for j in range(n))
+            tuple(op(*(g[i][j] for g in grids)) for j in range(n))
             for i in range(n)
         ),
     )
 
 
-def mul_oracle(a, b, deg_max=None) -> CycleElement:
+def mul_oracle(a, b) -> CycleElement:
     """The product entry by entry: acc = 0.0, then + a_ik b_kj in ascending
-    k, one Poly per entry, DegreeOverflow at the first entry over the cap."""
-    cap = 64 if deg_max is None else deg_max
+    k, one Poly per entry."""
     n = a.n
+    a_entries, b_entries = a.entries, b.entries
     rows = []
     for i in range(n):
         row = []
@@ -455,7 +439,7 @@ def mul_oracle(a, b, deg_max=None) -> CycleElement:
             base = (j - i) % n
             acc = None
             for k in range(n):
-                fa, fb = a.entries[i][k], b.entries[k][j]
+                fa, fb = a_entries[i][k], b_entries[k][j]
                 if fa.is_zero or fb.is_zero:
                     continue
                 excess = ((k - i) % n + (j - k) % n - base) // n
@@ -467,10 +451,7 @@ def mul_oracle(a, b, deg_max=None) -> CycleElement:
                         grown[: len(acc)] = acc
                     acc = grown
                 acc[excess : excess + len(prod)] += prod
-            p = Poly(acc) if acc is not None else Poly()
-            if p.degree > cap:
-                raise DegreeOverflow(p.degree, cap)
-            row.append(p)
+            row.append(Poly(acc) if acc is not None else Poly())
         rows.append(tuple(row))
     return CycleElement.from_rows(tuple(rows))
 
@@ -567,37 +548,17 @@ def test_every_operation_keeps_the_canonical_array(pair, c):
     results = [a + b, a - b, -a, a * c, c * a, (a + b) - a]
     results.append(element_from_json(json.loads(json.dumps(a.to_json()))))
     results.append(parse_realized(a.realize(), a.n))
-    try:
-        results.append(mul_elem(a, b))
-    except DegreeOverflow:
-        pass
+    results.append(mul_elem(a, b))
     for r in results:
         assert_canonical(r)
 
 
 @settings(max_examples=200, deadline=None)
-@given(operand_pairs(), st.one_of(st.none(), st.integers(-2, 8)))
-def test_mul_elem_matches_entrywise_oracle(pair, deg_max):
+@given(operand_pairs())
+def test_mul_elem_matches_entrywise_oracle(pair):
     a, b = pair
     for x, y in ((a, b), (b, a), (a, a)):
-        try:
-            want = mul_oracle(x, y, deg_max)
-        except DegreeOverflow as exc:
-            with pytest.raises(DegreeOverflow) as got:
-                mul_elem(x, y, deg_max=deg_max)
-            assert (got.value.degree, got.value.cap) == (exc.degree, exc.cap)
-            continue
-        assert bits(mul_elem(x, y, deg_max=deg_max)) == bits(want)
-
-
-def test_degree_overflow_names_first_entry_in_row_major_order():
-    # entries (1, 1) of degree 3 and (1, 2) of degree 5 both pass cap 2
-    a = CycleElement.from_rows(
-        [[Poly([0, 0, 0, 1]), Poly([0, 0, 0, 0, 0, 1])], [0, 0]]
-    )
-    with pytest.raises(DegreeOverflow) as got:
-        mul_elem(a, identity(2), deg_max=2)
-    assert got.value.degree == 3
+        assert bits(mul_elem(x, y)) == bits(mul_oracle(x, y))
 
 
 @settings(max_examples=50, deadline=None)

@@ -267,17 +267,23 @@ def test_inner_check_diag0(tmp_path, capsys):
     code, out, _ = run(
         capsys, ["inner-check", "--input", write(tmp_path, "a.json", doc)]
     )
-    assert code == 0 and json.loads(out)["verdict"] == "inner"
-    # d/dz at the origin over n = 1: a genuine non-inner derivation
+    report = json.loads(out)
+    assert code == 0 and report["verdict"] == "inner"
+    assert report["X"] == [[0.0, 0.0]] and report["residual"] == 0.0
+    assert report["normalization"] == "X[1,1] = 0"
+    # d/dz at the origin over n = 1: a genuine non-inner derivation; --split
+    # applies at lambda points only
     doc = {
         "point": {"kind": "diag0", "i": 1},
         "values_e": [[[0.0, 0.0]]],
         "values_Z": [[[1.0, 0.0]]],
     }
-    code, out, _ = run(
-        capsys, ["inner-check", "--input", write(tmp_path, "b.json", doc)]
-    )
-    assert code == 1 and json.loads(out)["verdict"] == "not_inner"
+    path = write(tmp_path, "b.json", doc)
+    code, out, _ = run(capsys, ["inner-check", "--split", "--input", path])
+    report = json.loads(out)
+    assert code == 1 and report["verdict"] == "not_inner"
+    assert report["residual"] == 1.0 and "kernel_witness" in report
+    assert "split" not in report
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,7 @@ from cyclealg.derivations import (
 from cyclealg.errors import DimensionMismatch, GridTooSmall
 from cyclealg.poly import Poly
 from cyclealg.representations import DiagZero, Lambda, eval_rep, kernel_sample
-from cyclealg.representations import phi_generator_values
+from cyclealg.representations import generator_images
 
 
 def random_matrix(rng, n):
@@ -517,14 +517,26 @@ def test_non_inner_data_moves_on_the_kernel():
             assert vanish.max_norm < 1e-9
 
 
-def test_inner_solve_requires_lambda_point():
-    D = GenDerivation(
-        DiagZero(1),
-        (np.zeros((1, 1), complex),),
-        (np.zeros((1, 1), complex),),
-    )
-    with pytest.raises(ValueError):
-        inner_solve(D)
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_inner_solve_at_a_diag0_point(n):
+    # every 1 x 1 commutator is 0, so X = 0 and the residual is the largest
+    # generator value
+    rng = np.random.default_rng(70 + n)
+    for i in range(1, n + 1):
+        X = random_matrix(rng, 1)
+        inner = inner_solve(GenDerivation.from_commutator(DiagZero(i), X, n))
+        assert inner.consistent and inner.residual == 0.0
+        assert inner.X.tobytes() == np.zeros((1, 1), complex).tobytes()
+        assert inner.normalization == "X[1,1] = 0"
+        D = random_data(rng, DiagZero(i), n)
+        solve = inner_solve(D, tol=1e-3)
+        top = max(abs(v[0, 0]) for v in D.values_e + D.values_Z)
+        assert solve.residual == pytest.approx(top, rel=1e-15, abs=0.0)
+        assert not solve.consistent
+        assert solve.X.tobytes() == np.zeros((1, 1), complex).tobytes()
+        small = diag0_data(n, i, arrow=1e-9)
+        assert inner_solve(small).consistent
+        assert not inner_solve(small, tol=1e-10).consistent
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -533,8 +545,7 @@ def test_inner_solve_requires_lambda_point():
 )
 def test_commutator_blocks_match_kron_bit_for_bit(n, lam):
     # -0.7j has real part -0.0: the blocks keep the kron sign of every zero
-    phi_e, phi_Z = phi_generator_values(n, lam)
-    P = np.stack(phi_e + phi_Z)
+    P = generator_images(Lambda(lam), n)
     eye = np.eye(n, dtype=complex)
     want = np.stack([np.kron(p, eye) - np.kron(eye, p.T) for p in P])
     got = derivations._commutator_blocks(P)
@@ -553,8 +564,7 @@ def _per_pair_commutators(P, X):
 def test_commutators_of_one_witness_match_per_pair_products(n, lam):
     # K = 1 serves inner_solve: the same products, so the same bits
     rng = np.random.default_rng(80 + n)
-    phi_e, phi_Z = phi_generator_values(n, lam)
-    P = np.stack(phi_e + phi_Z)
+    P = generator_images(Lambda(lam), n)
     X = random_matrix(rng, n)[None]
     X[0, 0, 0] = 0.0
     want = _per_pair_commutators(P, X)
@@ -572,8 +582,7 @@ def test_commutators_at_lambda_one_are_exact(n):
     # can read that sign, and a residual computed from it can move in its
     # last bit.
     rng = np.random.default_rng(90 + n)
-    phi_e, phi_Z = phi_generator_values(n, 1.0)
-    P = np.stack(phi_e + phi_Z)
+    P = generator_images(Lambda(1.0), n)
     for K in (1, 28, 56 * n):
         X = rng.normal(size=(K, n, n)) + 1j * rng.normal(size=(K, n, n))
         X[:, 0, 0] = 0.0
@@ -724,8 +733,7 @@ LADDER = [2**j for j in range(13)]  # 1 .. 4096
 
 def _product_residual(F, a, grid):
     """||F a - a|| on the grid through the algebra product."""
-    cap = F.max_degree + a.max_degree + 2
-    return (mul_elem(F, a, deg_max=cap) - a).norm(grid)
+    return (mul_elem(F, a) - a).norm(grid)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

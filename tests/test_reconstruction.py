@@ -38,8 +38,8 @@ from cyclealg.reconstruction import (
 from cyclealg.representations import Lambda, eval_rep
 
 
-def commutator(a, X, cap=80):
-    return mul_elem(a, X, deg_max=cap) - mul_elem(X, a, deg_max=cap)
+def commutator(a, X):
+    return mul_elem(a, X) - mul_elem(X, a)
 
 
 def run_pipeline(X0, m=None, deg_max=None):

@@ -32,7 +32,7 @@ from cyclealg.representations import (
     kernel_square_witness,
     matc_from_json,
     matc_to_json,
-    phi_generator_values,
+    generator_images,
     point_from_json,
     point_to_json,
     semisimplicity_certificate,
@@ -147,11 +147,13 @@ def test_disk_validation():
 
 def test_phi_generator_values_match_eval():
     for n in (1, 2, 4):
-        lam = 0.3 - 0.5j
-        phi_e, phi_Z = phi_generator_values(n, lam)
         es, Zs = generators(n)
-        for mat, g in zip(phi_e + phi_Z, es + Zs):
-            assert np.allclose(mat, eval_rep(Lambda(lam), g))
+        points = [Lambda(0.3 - 0.5j)] + [DiagZero(i) for i in range(1, n + 1)]
+        for point in points:
+            images = generator_images(point, n)
+            assert images.shape[0] == 2 * n
+            for mat, g in zip(images, es + Zs):
+                assert np.allclose(mat, eval_rep(point, g))
 
 
 def test_grid_eval_matches_pointwise():
@@ -180,6 +182,17 @@ def test_kernel_sample_membership():
             assert not k.is_zero
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("lam", [1e-13, 1e-12, -1e-12j])
+def test_kernel_sample_near_the_center_uses_the_principal_factor(n, lam):
+    # (w - lam**n) g vanishes at lam up to rounding on the scale of lam**n;
+    # removing the diagonal constants instead leaves values of order |lam|
+    point = Lambda(lam)
+    for k in kernel_sample(point, n, seed=0, count=20):
+        value = float(np.max(np.abs(eval_rep(point, k))))
+        assert value <= 1e-14 * abs(lam) ** n
+
+
 def test_kernel_sample_deterministic():
     a = kernel_sample(Lambda(0.4), 2, seed=7, count=3)
     b = kernel_sample(Lambda(0.4), 2, seed=7, count=3)
@@ -193,14 +206,15 @@ def kernel_sample_oracle(point, n, seed, count, deg, scale=1.0):
     for _ in range(count):
         g = random_element(n, rng, deg=deg, scale=scale)
         rows = [list(row) for row in g.entries]
-        if isinstance(point, Lambda) and abs(point.value) > 1e-12:
+        principal = isinstance(point, Lambda) and point.value != 0
+        if principal:
             factor = Poly([-(point.value**n), 1.0])
             rows = [[factor * p for p in row] for row in rows]
         elif isinstance(point, Lambda):
             vertices = range(n)
         else:
             vertices = (point.i - 1,)
-        if not (isinstance(point, Lambda) and abs(point.value) > 1e-12):
+        if not principal:
             for i in vertices:
                 c = rows[i][i].coeffs.copy()
                 if len(c):
@@ -307,7 +321,7 @@ def test_kernel_square_spanning_monomials_decompose():
             # pairs reproduce k exactly
             total = zero(n)
             for left, right in result.pairs:
-                total = total + mul_elem(left, right, deg_max=8)
+                total = total + mul_elem(left, right)
             assert total == k
 
 
@@ -340,7 +354,7 @@ def _dense_products(n, i0, budget, L):
     pairs_idx = []
     for s, left in enumerate(span):
         for t, right in enumerate(span):
-            prod = mul_elem(left, right, deg_max=2 * budget + 1)
+            prod = mul_elem(left, right)
             if prod.is_zero:
                 continue
             cols.append(_dense_vec(prod, L))
