@@ -17,7 +17,17 @@ and 6 on fixed seeded inputs:
   ``inner-check`` command through ``cli.main`` on it (report written to
   the null device),
 - ``cli._build_parser().parse_args`` on an ``inner-check`` command line
-  (one cell, keyed ``any``: it does not depend on n),
+  (one cell, keyed ``any``: it does not depend on n); in a checkout whose
+  ``_build_parser`` is built once per process (``functools.cache``) the
+  cell times the parse alone, where it used to include building the parser,
+- the report encoder on that ``inner-check`` report and on the
+  ``reconstruct`` reports below (read back from the report file):
+  ``cli._dumps`` in a checkout that has it, else the
+  ``json.dumps(report, sort_keys=True, indent=2, allow_nan=False)`` call
+  it replaced,
+- the ``semisimple`` command through ``cli.main`` on ``zero(1)`` (report
+  written to the null device), the fixed cost of one request (keyed
+  ``n1``),
 - ``random_element(deg=6, normalize=True)``,
 - ``mul_elem``, ``CycleElement.__sub__`` of two degree-6 elements, and
   ``CycleElement.to_json`` of the first,
@@ -119,6 +129,11 @@ def measure(src: str) -> dict:
         return statistics.median(runs) / number
 
     relation_residual = getattr(derivations, "relation_residual", None)
+    encode = getattr(cli, "_dumps", None) or (
+        lambda report: json.dumps(
+            report, sort_keys=True, indent=2, allow_nan=False
+        )
+    )
     out: dict[str, dict[str, float | None]] = {}
     point = Lambda(POINT)
     for n in SIZES:
@@ -201,6 +216,15 @@ def measure(src: str) -> dict:
         for name, fn in cases.items():
             out.setdefault(name, {})[f"n{n}"] = median_call(fn)
     with tempfile.TemporaryDirectory() as tmp:
+        report_path = Path(tmp, "report.json")
+        path = Path(tmp, "zero1.json")
+        path.write_text(json.dumps(zero(1).to_json()), encoding="utf-8")
+        argv = ["semisimple", "--input", str(path), "--output", os.devnull]
+        if cli.main(argv) != 0:
+            raise RuntimeError("semisimple failed on zero(1)")
+        out["semisimple(zero(1))"] = {
+            "n1": median_call(lambda: cli.main(argv))
+        }
         for n in SIZES:
             rng = np.random.default_rng(500 + n)
             X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -208,10 +232,12 @@ def measure(src: str) -> dict:
             path = Path(tmp, f"inner{n}.json")
             path.write_text(json.dumps(doc), encoding="utf-8")
             argv = ["inner-check", "--input", str(path)]
-            if cli.main(argv + ["--output", os.devnull]) != 0:
+            if cli.main(argv + ["--output", str(report_path)]) != 0:
                 raise RuntimeError(f"inner-check failed at n = {n}")
             doc = json.loads(path.read_text(encoding="utf-8"))
+            report = json.loads(report_path.read_text(encoding="utf-8"))
             cases = {
+                "encode(inner-check)": lambda: encode(report),
                 "gen_derivation_from_json": lambda: gen_derivation_from_json(
                     doc
                 ),
@@ -241,11 +267,15 @@ def measure(src: str) -> dict:
             path = Path(tmp, f"global{n}.json")
             path.write_text(json.dumps(D.to_json()), encoding="utf-8")
             argv = ["reconstruct", "--deg-max", "12", "--input", str(path)]
-            argv += ["--output", os.devnull]
-            if cli.main(argv) != 0:
+            if cli.main(argv + ["--output", str(report_path)]) != 0:
                 raise RuntimeError(f"reconstruct failed at n = {n}")
+            report = json.loads(report_path.read_text(encoding="utf-8"))
+            argv += ["--output", os.devnull]
             out.setdefault("reconstruct", {})[f"n{n}"] = median_call(
                 lambda: cli.main(argv)
+            )
+            out.setdefault("encode(reconstruct)", {})[f"n{n}"] = median_call(
+                lambda: encode(report)
             )
     return out
 

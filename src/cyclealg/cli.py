@@ -12,18 +12,24 @@ Commands
   semisimple      zero/nonzero certificate for an element
   kernel-witness  decompose a kernel element at a scalar point into products
 
-Exit codes: 0 success, 1 negative verdict, 2 input error, 3 internal failure.
+Exit codes: 0 success, 1 negative verdict, 2 input error (an unwritable
+``--output`` and a negative ``--deg-max`` included), 3 internal failure.
 Reports embed the resolved configuration and library version and are byte
-stable for a fixed seed and configuration.
+stable for a fixed seed and configuration.  One encoder, ``_dumps``, writes
+every JSON report, byte for byte as ``json.dumps(report, sort_keys=True,
+indent=2, allow_nan=False)``.  The argument parser is built on the first
+``main`` call and reused by every later call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -314,6 +320,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclealg",
@@ -353,6 +360,67 @@ def _rows_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+
+
+def _float_list(items, nl: str) -> str | None:
+    """The body of a list of floats, or of [re, im] float pairs, or None."""
+    pairs = set(map(type, items)) <= {list, tuple}
+    try:
+        if pairs and set(map(len, items)) == {2}:
+            flat = map(float.__repr__, chain.from_iterable(items))
+            pair = nl + "  "
+            body = (nl + "]," + nl + "[" + pair).join(
+                map(("," + pair).join, zip(flat, flat))
+            )
+            body = "[" + pair + body + nl + "]"
+        else:
+            body = ("," + nl).join(map(float.__repr__, items))
+    except TypeError:  # an item that is not a float
+        return None
+    # the repr of a finite float has no "n"; "nan", "inf" and "-inf" do
+    return None if "n" in body else body
+
+
+def _dumps(obj, nl: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``.
+
+    Byte for byte, including its errors: a non-finite float raises
+    ``ValueError``.  ``nl`` is the newline and indentation of obj's depth.
+    """
+    if isinstance(obj, str):
+        return _ESCAPE(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        if "n" not in text:
+            return text
+    inner = nl + "  "
+    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        if not obj:
+            return "{}"
+        items = sorted(obj.items())
+        body = ("," + inner).join(
+            [f"{_ESCAPE(k)}: {_dumps(v, inner)}" for k, v in items]
+        )
+        return "{" + inner + body + nl + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        body = _float_list(obj, inner)
+        if body is None:
+            body = ("," + inner).join([_dumps(v, inner) for v in obj])
+        return "[" + inner + body + nl + "]"
+    # a non-finite float, a key that is not a string, a type JSON lacks
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    return text.replace("\n", nl)
+
+
 def _emit(args, report: dict) -> None:
     if args.format == "csv":
         if "rows" not in report:
@@ -361,13 +429,15 @@ def _emit(args, report: dict) -> None:
             )
         text = _rows_to_csv(report["rows"])
     else:
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
-        text += "\n"
-    if args.output:
+        text = _dumps(report) + "\n"
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _InputError(f"cannot write output: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -380,6 +450,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.grid is not None and args.grid < 1:
         _fail(2, "grid must be >= 1")
+        return 2
+    if args.deg_max is not None and args.deg_max < 0:
+        _fail(2, "deg-max must be >= 0")
         return 2
     try:
         code, payload = _COMMANDS[args.command](args)

@@ -135,7 +135,8 @@ def kernel_sample(
     kernel is larger than that principal ideal, so there the constant terms
     of all diagonal entries are removed instead.  DiagZero points: random
     elements with the constant term of the pinned diagonal entry removed.
-    Membership is checked internally.
+    Membership is checked internally, relative to the sample's size: at
+    |lam| <= 1 no entry of phi(k) exceeds the l1 mass of the largest entry.
     """
     factor, vertices = None, []
     if isinstance(point, Lambda) and point.value != 0:
@@ -161,7 +162,7 @@ def kernel_sample(
         stack[vertices, vertices, 0] = 0.0
         k = CycleElement(n, stack)
         off = float(np.max(np.abs(eval_rep(point, k))))
-        if off > 1e-12 * (1.0 + scale):
+        if off > 1e-12 * k.norm_l1:
             raise RuntimeError(f"kernel sample evaluates to {off:.3e}")
         out.append(k)
     return out

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cyclealg
 from cyclealg import __version__
@@ -21,7 +23,7 @@ from cyclealg.algebra import (
     random_element,
     zero,
 )
-from cyclealg.cli import _COMMANDS, _build_parser, main
+from cyclealg.cli import _COMMANDS, _build_parser, _dumps, main
 from cyclealg.derivations import F_point_derivation, GenDerivation
 from cyclealg.reconstruction import GlobalDerivation, solve_boundary_field
 from cyclealg.representations import DiagZero, Lambda
@@ -774,6 +776,122 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert out == ""
     report = json.loads(out_path.read_text())
     assert report["summary"]["ok"]
+
+
+def test_unwritable_output_is_an_input_error(tmp_path, capsys):
+    # an OSError on writing the report ended in a traceback and exit 1,
+    # the code of a negative verdict
+    element = gen_Z(2, 1).to_json()
+    doc = {"element": element, "point": {"kind": "diag0", "i": 1}}
+    path = write(tmp_path, "in.json", doc)
+    target = str(tmp_path / "missing" / "out.json")
+    code, out, err = run(capsys, ["eval", "--input", path, "--output", target])
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)
+    assert error["exit_code"] == 2
+    assert error["error"].startswith("cannot write output: ")
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("reconstruct", _arrow_commutator().to_json()),
+        ("semisimple", zero(2).to_json()),
+        ("suite", {}),
+    ],
+)
+def test_negative_deg_max_rejected(tmp_path, capsys, command, doc):
+    # reconstruct blamed the grid, semisimple ignored the flag
+    path = write(tmp_path, "in.json", doc)
+    code, out, err = run(capsys, [command, "--deg-max", "-3", "--input", path])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "deg-max must be >= 0"
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e308, -1e308, 0.1]),
+)
+LEAVES = st.one_of(
+    FLOATS,
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\n\t\x1f", "\u00e9\u221a\U0001f600"]),
+    st.lists(FLOATS),
+    st.lists(st.lists(FLOATS, min_size=2, max_size=2)),
+    st.lists(st.tuples(FLOATS, FLOATS)),
+)
+JSON_TREES = st.recursive(
+    LEAVES,
+    lambda kids: st.one_of(
+        st.lists(kids),
+        st.lists(kids).map(tuple),
+        st.dictionaries(st.text(), kids),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_TREES)
+def test_dumps_matches_json_dumps(obj):
+    expected = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    assert _dumps(obj) == expected
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        float("nan"),
+        float("inf"),
+        np.float64("-inf"),
+        [0.5, float("nan")],
+        [[0.5, 1.0], [float("-inf"), 0.0]],
+        {"a": [1.0, 2], "b": {"c": float("inf")}},
+        ("x", [float("nan"), float("inf")]),
+    ],
+)
+def test_dumps_rejects_non_finite_floats_as_json_dumps_does(obj):
+    with pytest.raises(ValueError) as expected:
+        json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as got:
+        _dumps(obj)
+    assert str(got.value) == str(expected.value)
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def _fresh_report(argv):
+    src = str(Path(cyclealg.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "cyclealg.cli", *argv],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return done.returncode, done.stdout
+
+
+def test_one_process_reports_match_fresh_processes(tmp_path, capsys):
+    # the parser is shared by every call in a process: no option of one
+    # request may reach the next one's report
+    path = write(tmp_path, "in.json", inner_data(n=2, lam=0.4))
+    runs = [
+        ["inner-check", "--split", "--input", path],
+        ["inner-check", "--input", path],
+        ["inner-check", "--tol-inner", "1e-3", "--input", path],
+        ["inner-check", "--input", path],
+    ]
+    in_process = [run(capsys, argv)[:2] for argv in runs]
+    assert in_process[0][1] != in_process[1][1]
+    assert in_process[2][1] != in_process[3][1]
+    assert in_process == [_fresh_report(argv) for argv in runs]
 
 
 def test_nonpositive_tolerance_rejected(capsys):

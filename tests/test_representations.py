@@ -20,6 +20,7 @@ from cyclealg.algebra import (
     random_element,
     zero,
 )
+from cyclealg import representations
 from cyclealg.errors import DimensionMismatch
 from cyclealg.poly import Poly, complex_from_json
 from cyclealg.representations import (
@@ -191,6 +192,20 @@ def test_kernel_sample_near_the_center_uses_the_principal_factor(n, lam):
     for k in kernel_sample(point, n, seed=0, count=20):
         value = float(np.max(np.abs(eval_rep(point, k))))
         assert value <= 1e-14 * abs(lam) ** n
+
+
+@pytest.mark.parametrize("point", [Lambda(0.4), Lambda(0.0), DiagZero(1)])
+def test_kernel_sample_membership_check_is_relative(monkeypatch, point):
+    # a sample a millionth of its own size off the kernel is refused at any
+    # scale; an absolute bound of 1e-12 (1 + scale) passed it at scale 1e-8
+    true_eval = representations.eval_rep
+    monkeypatch.setattr(
+        representations,
+        "eval_rep",
+        lambda p, k: true_eval(p, k) + 1e-6 * k.norm_l1,
+    )
+    with pytest.raises(RuntimeError, match="kernel sample evaluates"):
+        kernel_sample(point, 2, seed=1, count=1, scale=1e-8)
 
 
 def test_kernel_sample_deterministic():
