@@ -46,12 +46,7 @@ from .derivations import (
     kernel_vanishing_test,
     relation_residual,
 )
-from .errors import (
-    CycleAlgebraError,
-    GridTooSmall,
-    NotInAlgebra,
-    NotLocallyInner,
-)
+from .errors import CycleAlgebraError, GridTooSmall, NotLocallyInner
 from .poly import complex_from_json, int_from_json
 from .reconstruction import (
     boundary_field_from_json,
@@ -446,31 +441,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.split and args.command != "inner-check":
         parser.error("unrecognized arguments: --split")
     if not 0 < args.tol_inner < np.inf:
-        _fail(2, "tol-inner must be positive and finite")
-        return 2
+        return _fail(2, "tol-inner must be positive and finite")
     if args.grid is not None and args.grid < 1:
-        _fail(2, "grid must be >= 1")
-        return 2
+        return _fail(2, "grid must be >= 1")
     if args.deg_max is not None and args.deg_max < 0:
-        _fail(2, "deg-max must be >= 0")
-        return 2
+        return _fail(2, "deg-max must be >= 0")
     try:
         code, payload = _COMMANDS[args.command](args)
     except _InputError as exc:
-        _fail(2, str(exc))
-        return 2
-    except (NotInAlgebra, ValueError, KeyError) as exc:
-        _fail(2, f"{type(exc).__name__}: {exc}")
-        return 2
+        return _fail(2, str(exc))
     except NotLocallyInner as exc:
-        _fail(1, str(exc))
-        return 1
-    except CycleAlgebraError as exc:
-        _fail(2, f"{type(exc).__name__}: {exc}")
-        return 2
+        return _fail(1, str(exc))
+    except (ValueError, KeyError, CycleAlgebraError) as exc:
+        return _fail(2, f"{type(exc).__name__}: {exc}")
     except Exception as exc:  # pragma: no cover - unexpected
-        _fail(3, f"internal error: {type(exc).__name__}: {exc}")
-        return 3
+        return _fail(3, f"internal error: {type(exc).__name__}: {exc}")
     report = {
         "version": __version__,
         "config": _resolved_config(args),
@@ -479,19 +464,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _emit(args, report)
     except _InputError as exc:
-        _fail(2, str(exc))
-        return 2
+        return _fail(2, str(exc))
     except ValueError as exc:  # a non-finite number reached the report
-        _fail(3, f"internal error: {exc}")
-        return 3
+        return _fail(3, f"internal error: {exc}")
     return code
 
 
-def _fail(code: int, message: str) -> None:
+def _fail(code: int, message: str) -> int:
+    """Write the error report to stderr and return the exit code."""
     sys.stderr.write(
         json.dumps({"error": message, "exit_code": code}, sort_keys=True)
         + "\n"
     )
+    return code
 
 
 if __name__ == "__main__":

@@ -303,18 +303,6 @@ class InnerSolveResult:
     tol: float
     normalization: str = "X[1,1] = 0"
 
-    def to_json(self) -> dict:
-        from .representations import matc_to_json, point_to_json
-
-        return {
-            "point": point_to_json(self.point),
-            "X": matc_to_json(self.X),
-            "residual": self.residual,
-            "consistent": self.consistent,
-            "tol": self.tol,
-            "normalization": self.normalization,
-        }
-
 
 def _commutator_blocks(P: np.ndarray) -> np.ndarray:
     """The matrices of X -> p X - X p for a (G, n, n) stack of p.

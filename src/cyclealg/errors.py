@@ -7,19 +7,6 @@ class CycleAlgebraError(Exception):
     """Base class for errors raised by this package."""
 
 
-class RootMismatch(CycleAlgebraError, ValueError):
-    """Requested division by (w - c) but c is not a root of the polynomial."""
-
-    def __init__(self, c: complex, value: float, threshold: float):
-        self.c = c
-        self.value = value
-        self.threshold = threshold
-        super().__init__(
-            f"|p({c})| = {value:.3e} exceeds threshold {threshold:.3e}; "
-            "not a root"
-        )
-
-
 class DimensionMismatch(CycleAlgebraError, ValueError):
     """Operands live over cycles of different sizes or have bad shape."""
 

@@ -1,8 +1,7 @@
 """Complex polynomials with coefficient-level canonicalization.
 
 This is the scalar layer everything else sits on: entries of cycle-algebra
-elements are polynomials in the base variable, and evaluation of an element at
-a representation point boils down to evaluating these.  Coefficients live in
+elements are polynomials in the base variable.  Coefficients live in
 ascending order, index k holding the coefficient of the k-th power.  Trailing
 coefficients of modulus <= EPS_COEFF are trimmed on construction; interior
 ones are kept.  So the zero polynomial is the empty coefficient vector and
@@ -12,6 +11,11 @@ Canonicalization happens in one routine, ``_trim``, which trims every row of
 a coefficient array of any shape in one vectorized pass.  ``Poly(...)``
 applies it to one row; the element layer applies it to the (n, n, L) array
 that holds all n**2 entries of an element.
+
+``Poly`` itself still serves the powers of the approximate-identity ladder,
+the entries interpolated by ``interpolate_roots_of_unity``, the ``entries``
+and ``realize`` views of an element, ``CycleElement.from_rows``, and the
+suite's ring rows.
 """
 
 from __future__ import annotations
@@ -24,11 +28,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import config
-from .errors import RootMismatch
 
 __all__ = [
     "Poly",
-    "monomial",
     "powers",
     "eval_at_unit_roots",
     "interpolate_roots_of_unity",
@@ -87,10 +89,6 @@ class Poly:
         raise AttributeError("Poly is immutable")
 
     @classmethod
-    def zero(cls) -> Poly:
-        return cls()
-
-    @classmethod
     def one(cls) -> Poly:
         return cls([1.0])
 
@@ -108,7 +106,8 @@ class Poly:
         return float(np.sum(np.abs(self.coeffs)))
 
     def __add__(self, other) -> Poly:
-        other = _coerce(other)
+        if not isinstance(other, Poly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -116,16 +115,13 @@ class Poly:
         out[: len(b)] += b
         return Poly(out)
 
-    __radd__ = __add__
-
     def __neg__(self) -> Poly:
         return Poly(-self.coeffs)
 
     def __sub__(self, other) -> Poly:
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> Poly:
-        return _coerce(other) + (-self)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self + (-other)
 
     def __mul__(self, other) -> Poly:
         if isinstance(other, (int, float, complex)):
@@ -172,60 +168,6 @@ class Poly:
             return 0j if scalar else np.zeros(np.shape(x), dtype=complex)
         value = np.polynomial.polynomial.polyval(x, self.coeffs)
         return complex(value) if scalar else value
-
-    def derivative(self) -> Poly:
-        if len(self.coeffs) <= 1:
-            return Poly()
-        return Poly(self.coeffs[1:] * np.arange(1, len(self.coeffs)))
-
-    def shift(self, k: int) -> Poly:
-        """Multiply by the k-th power of the variable."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
-        if self.is_zero or k == 0:
-            return self
-        out = np.zeros(len(self.coeffs) + k, dtype=complex)
-        out[k:] = self.coeffs
-        return Poly(out)
-
-    def divide_root(self, c: complex) -> Poly:
-        """Exact quotient by (w - c) when c is a root.
-
-        Raises RootMismatch when |p(c)| > EPS_COEFF * (1 + l1 norm).
-        """
-        threshold = config.EPS_COEFF * (1.0 + self.norm_l1)
-        value = abs(complex(self.eval(c)))
-        if value > threshold:
-            raise RootMismatch(c, value, threshold)
-        if self.is_zero:
-            return Poly()
-        # synthetic division, highest coefficient first
-        q = np.zeros(max(len(self.coeffs) - 1, 0), dtype=complex)
-        acc = 0j
-        for k in range(len(self.coeffs) - 1, 0, -1):
-            acc = self.coeffs[k] + c * acc
-            q[k - 1] = acc
-        return Poly(q)
-
-    def to_json(self) -> list[list[float]]:
-        return [[float(z.real), float(z.imag)] for z in self.coeffs]
-
-
-def _coerce(x) -> Poly:
-    if isinstance(x, Poly):
-        return x
-    if isinstance(x, (int, float, complex)):
-        return Poly([x])
-    raise TypeError(f"cannot interpret {type(x).__name__} as Poly")
-
-
-def monomial(k: int, coeff: complex = 1.0) -> Poly:
-    """coeff times the k-th power of the variable."""
-    if k < 0:
-        raise ValueError("power must be nonnegative")
-    c = np.zeros(k + 1, dtype=complex)
-    c[k] = coeff
-    return Poly(c)
 
 
 def poly_from_json(data: Sequence[Sequence[float]]) -> Poly:

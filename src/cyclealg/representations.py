@@ -137,6 +137,8 @@ def kernel_sample(
     elements with the constant term of the pinned diagonal entry removed.
     Membership is checked internally, relative to the sample's size: at
     |lam| <= 1 no entry of phi(k) exceeds the l1 mass of the largest entry.
+    A draw that trims to the zero element, as at a scale below EPS_COEFF,
+    raises ``ValueError``: a zero sample would certify nothing.
     """
     factor, vertices = None, []
     if isinstance(point, Lambda) and point.value != 0:
@@ -151,6 +153,8 @@ def kernel_sample(
     out = []
     for _ in range(count):
         g = random_element(n, rng, deg=deg, scale=scale)
+        if g.is_zero:
+            raise ValueError(f"a kernel draw at scale {scale:g} trims to zero")
         stack = np.zeros((n, n, deg + 2), dtype=complex)
         if factor is None:
             stack[..., : g.coeffs.shape[2]] = g.coeffs
@@ -229,7 +233,9 @@ def kernel_square_witness(
     incidence system.  The residual is the largest coefficient of k on a
     slot that no pair reaches; success means it is at most 1e-8.  For these
     characters the kernel equals its own square (n >= 2), so genuine kernel
-    elements decompose.
+    elements decompose.  A pair reaching a slot above the top degree of k
+    gets weight 0, so the factors stop at that degree whatever the budget;
+    the result echoes the budget asked for.
     """
     if not isinstance(point, DiagZero):
         raise TypeError("kernel_square_witness needs a DiagZero point")
@@ -237,11 +243,12 @@ def kernel_square_witness(
     i0 = _vertex(point, n)
     if float(np.max(np.abs(eval_rep(point, k)))) > 1e-12:
         raise ValueError("element is not in the kernel at this point")
+    top = min(budget, max(k.max_degree, 0))
     # span monomials (a, b, d), row-major; e_i itself is not in the kernel
-    in_span = np.ones((n, n, budget + 1), dtype=bool)
+    in_span = np.ones((n, n, top + 1), dtype=bool)
     in_span[i0, i0, 0] = False
     span = np.argwhere(in_span)
-    L = max(2 * budget + 2, k.max_degree + 1, 1)
+    L = max(2 * top + 2, k.max_degree + 1, 1)
     target = np.zeros((n, n, L), dtype=complex)
     target[..., : k.coeffs.shape[2]] = k.coeffs
     target = target.ravel()
@@ -259,10 +266,10 @@ def kernel_square_witness(
     keep = np.nonzero(np.abs(weights) > 1e-12)[0]
     # factor t is monomial_elem(...) * weight: the unit row of its power
     # times the weight, at its position
-    units = np.eye(budget + 1, dtype=complex)[span[:, 2]]
+    units = np.eye(top + 1, dtype=complex)[span[:, 2]]
 
     def factors(index, rows):
-        stack = np.zeros((len(index), n, n, budget + 1), dtype=complex)
+        stack = np.zeros((len(index), n, n, top + 1), dtype=complex)
         stack[np.arange(len(index)), span[index, 0], span[index, 1]] = rows
         return [CycleElement(n, c) for c in stack]
 

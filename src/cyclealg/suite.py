@@ -40,7 +40,7 @@ from .derivations import (
     inner_solve,
     kernel_vanishing_test,
 )
-from .errors import NotLocallyInner, RootMismatch
+from .errors import NotLocallyInner
 from .poly import Poly, eval_at_unit_roots, interpolate_roots_of_unity
 from .reconstruction import (
     GlobalDerivation,
@@ -132,24 +132,6 @@ def _check_poly_eval_hom(cfg: SuiteConfig):
         worst = max(worst, abs((p * q).eval(x) - p.eval(x) * q.eval(x)))
         worst = max(worst, abs((p + q).eval(x) - p.eval(x) - q.eval(x)))
     return worst, 1e-10, "<=", "evaluation respects + and * at random points"
-
-
-def _check_poly_divide_root(cfg: SuiteConfig):
-    rng = _rng(cfg, 3)
-    worst = 0.0
-    raised = 0
-    for _ in range(100):
-        p = _random_poly(rng, 7)
-        c = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        q = (Poly([-c, 1.0]) * p).divide_root(c)
-        worst = max(worst, _coeff_gap(q, p))
-        try:
-            (p + Poly([3.0])).divide_root(c + 2.5)
-        except RootMismatch:
-            raised += 1
-    if raised != 100:
-        return 1.0, 1e-9, "<=", f"RootMismatch raised {raised}/100 times"
-    return worst, 1e-9, "<=", "quotient round trip + mismatch raises"
 
 
 def _check_poly_interpolation(cfg: SuiteConfig):
@@ -532,7 +514,6 @@ def _check_zero_split(cfg: SuiteConfig):
 _CHECKS = [
     ("poly_ring_axioms", _check_poly_ring_axioms, False),
     ("poly_eval_hom", _check_poly_eval_hom, False),
-    ("poly_divide_root", _check_poly_divide_root, False),
     ("poly_interpolation", _check_poly_interpolation, False),
     ("generator_relations", _check_generator_relations, False),
     ("mul_closure", _check_mul_closure, False),

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,6 +209,22 @@ def test_kernel_sample_membership_check_is_relative(monkeypatch, point):
         kernel_sample(point, 2, seed=1, count=1, scale=1e-8)
 
 
+@pytest.mark.parametrize("point", [Lambda(0.4), Lambda(0.0), DiagZero(1)])
+def test_kernel_sample_refuses_a_draw_that_trims_to_zero(point):
+    # at scale 1e-14 every coefficient trims away, and a zero sample would
+    # pass any kernel-vanishing test
+    with pytest.raises(ValueError, match="trims to zero"):
+        kernel_sample(point, 2, scale=1e-14)
+
+
+def test_kernel_sample_keeps_a_zero_kernel_slice():
+    # each draw is a nonzero constant, and at the center of the 1-cycle the
+    # constants of degree 0 are all the kernel removes: that slice is {0}
+    samples = kernel_sample(Lambda(0.0), 1, deg=0)
+    assert len(samples) == 10
+    assert all(k.is_zero for k in samples)
+
+
 def test_kernel_sample_deterministic():
     a = kernel_sample(Lambda(0.4), 2, seed=7, count=3)
     b = kernel_sample(Lambda(0.4), 2, seed=7, count=3)
@@ -248,7 +265,9 @@ def _bits(a: CycleElement):
     "point", [Lambda(0.4 - 0.3j), Lambda(0.0), Lambda(np.exp(1j)),
               DiagZero(1)]
 )
-@pytest.mark.parametrize("scale", [1.0, 1e-10])
+# at 2e-9 about a fifth of the coefficients fall below EPS_COEFF: interior
+# ones stay and trailing ones are trimmed, yet no draw trims to zero
+@pytest.mark.parametrize("scale", [1.0, 2e-9])
 def test_kernel_sample_matches_entry_by_entry_oracle(n, point, scale):
     got = kernel_sample(point, n, seed=5, count=3, deg=4, scale=scale)
     want = kernel_sample_oracle(point, n, 5, 3, 4, scale)
@@ -514,6 +533,27 @@ def test_kernel_square_residual_is_the_unreached_coefficient(budget, position):
     assert not result.success
     assert result.residual == pytest.approx(abs(coeff), rel=1e-15)
     assert result.pairs == ()
+
+
+def test_kernel_square_budget_above_the_degree_is_the_degree():
+    # pairs above the element's degree carry no weight, so budget 200 gives
+    # the budget-2 pairs of a degree-2 element without pair arrays that grow
+    # with the square of the budget
+    k = kernel_sample(DiagZero(1), 2, seed=3, count=1, deg=2)[0]
+    want = kernel_square_witness(DiagZero(1), k, budget=2)
+    tracemalloc.start()
+    try:
+        got = kernel_square_witness(DiagZero(1), k, budget=200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert got.budget == 200
+    assert (got.success, got.residual) == (want.success, want.residual)
+    assert want.success and len(got.pairs) == len(want.pairs)
+    for (gl, gr), (wl, wr) in zip(got.pairs, want.pairs):
+        assert gl.coeffs.tobytes() == wl.coeffs.tobytes()
+        assert gr.coeffs.tobytes() == wr.coeffs.tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import pytest
+
 import cyclealg
 
 SOURCES = sorted(Path(cyclealg.__file__).parent.glob("*.py"))
@@ -64,3 +66,14 @@ def test_only_the_element_layer_reads_entries():
         and path.name != "algebra.py"
     ]
     assert reads == []
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["cyclealg"] + [f"cyclealg.{path.stem}" for path in SOURCES
+                    if path.stem != "__init__"],
+)
+def test_star_import_succeeds(module):
+    # an __all__ entry left behind by a deletion fails here, not in a
+    # user's import
+    exec(f"from {module} import *", {})
