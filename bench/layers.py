@@ -1,7 +1,7 @@
 """Per-layer timings of the point-derivation path, one column per checkout.
 
     python bench/layers.py --column parent=../parent/src --column change=src \
-        --out BENCH_13.json
+        --out BENCH_17.json
 
 Each ``--column LABEL=SRC`` imports ``cyclealg`` from the directory SRC in
 a fresh interpreter (BLAS pinned to one thread) and times, at n = 1, 2, 4
@@ -37,6 +37,13 @@ and 6 on fixed seeded inputs:
 - ``inner_solve`` of seeded random 1 x 1 data at ``DiagZero(1)``, at n = 1,
   3 and 6 instead (``null`` in a column whose checkout refuses that
   point),
+- ``inner_solve`` of commutator data at the same interior Lambda point at
+  n = 16, 32 and 64 instead, with its tracemalloc peak in MB (10^6 bytes)
+  as the cell ``inner_solve(interior) peak MB``.  A checkout that still
+  solves on the dense 2n n^2 x n^2 commutator matrix (it has
+  ``derivations._commutator_blocks``) needs about 1 GB per temporary at
+  n = 32 and 34 GB at n = 64, so its column reads ``null`` at n >= 32 and
+  is never run there,
 - the ``approx-identity`` command through ``cli.main`` (report written to
   the null device) at lambda = exp(0.7i), k = 1, 2, 4, ..., 4096, on the
   default grid and the canonical kernel elements, at n = 1, 2 and 3
@@ -80,6 +87,7 @@ from pathlib import Path
 SIZES = (1, 2, 4, 6)
 KERNEL_SIZES = (2, 3, 4, 6)
 DIAG0_SIZES = (1, 3, 6)
+SCALE_SIZES = (16, 32, 64)
 LADDER_SIZES = (1, 2, 3)
 RECONSTRUCT_SIZES = (2, 4, 6, 8)
 LADDER = [2**j for j in range(13)]  # 1 .. 4096
@@ -95,6 +103,7 @@ def measure(src: str) -> dict:
     sys.path.insert(0, str(Path(src).resolve()))
     import tempfile
     import timeit
+    import tracemalloc
 
     import numpy as np
 
@@ -181,6 +190,24 @@ def measure(src: str) -> dict:
         except ValueError:  # a checkout that solves at Lambda points only
             cell = None
         out.setdefault("inner_solve(DiagZero(1))", {})[f"n{n}"] = cell
+    dense = hasattr(derivations, "_commutator_blocks")
+    for n in SCALE_SIZES:
+        time_cell = peak_cell = None
+        if not (dense and n >= 32):
+            rng = np.random.default_rng(680 + n)
+            X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            D = GenDerivation.from_commutator(point, X, n)
+            inner_solve(D)
+            tracemalloc.start()
+            try:
+                inner_solve(D)
+                peak_cell = tracemalloc.get_traced_memory()[1] / 1e6
+            finally:
+                tracemalloc.stop()
+            time_cell = median_call(lambda: inner_solve(D))
+        size = f"n{n}"
+        out.setdefault("inner_solve(interior)", {})[size] = time_cell
+        out.setdefault("inner_solve(interior) peak MB", {})[size] = peak_cell
     lam = complex(np.exp(0.7j))
     for n in RECONSTRUCT_SIZES:
         rng = np.random.default_rng(700 + n)
@@ -358,7 +385,7 @@ def main() -> int:
             "0.2 s of calls; BLAS pinned to one thread; one fresh "
             "interpreter per column and round"
         ),
-        "unit": "s per call",
+        "unit": "s per call; MB in the cells named '... peak MB'",
         "columns": [column.partition("=")[0] for column in columns],
         "layers": layers,
     }

@@ -380,10 +380,13 @@ def spectral_norms(stack: np.ndarray, floor: float = np.inf) -> np.ndarray:
     largest bound is decomposed first; then every matrix whose bound reaches
     min(that norm, floor) * (1 - 1e-12).  The margin is far above the
     rounding of either norm, so a skipped matrix cannot round above the
-    result.  A zero bound belongs to a zero matrix and is its norm.
+    result.  A zero bound belongs to a zero matrix and is its norm.  A
+    lone matrix is its own max, so it is decomposed without a bound.
     """
     stack = np.asarray(stack)
     flat = stack.reshape(-1, *stack.shape[-2:])
+    if len(flat) == 1:
+        return _largest_singular_values(flat).reshape(stack.shape[:-2])
     # the real and imaginary parts of each matrix in one row
     parts = np.ascontiguousarray(flat, complex).view(float)
     parts = parts.reshape(len(flat), -1)

@@ -304,101 +304,97 @@ class InnerSolveResult:
     normalization: str = "X[1,1] = 0"
 
 
-def _commutator_blocks(P: np.ndarray) -> np.ndarray:
-    """The matrices of X -> p X - X p for a (G, n, n) stack of p.
+def _shift_bracket(lam: complex, g: int, X: np.ndarray) -> np.ndarray:
+    """phi(g) X - X phi(g) at Lambda(lam) for a (K, n, n) stack of X.
 
-    On row-major vec(X), block g is kron(p, 1) - kron(1, p.T), that is
-    ``blocks[g, (i, j), (k, l)] = p[i, k] delta_jl - delta_ik p[l, j]``.
-    All G blocks come from one broadcast, with the same complex products
-    as ``np.kron`` takes, so every entry (the sign of a zero included) is
-    bit for bit the kron one.
+    g numbers the generators as ``generator_images`` does.  Each bracket is
+    a row shift minus a column shift: e_k X - X e_k is row k of X minus
+    column k, and Z_k X - X Z_k is lam times row k + 1 of X put in row k,
+    minus lam times column k put in column k + 1.  Both terms go into a zero
+    array, so every entry holds the value the products ``P @ X - X @ P``
+    give (the sign of a zero aside).  When n = 1 every bracket is 0.
     """
-    G, n, _ = P.shape
-    eye = np.eye(n, dtype=complex)
-    left = P[:, :, None, :, None] * eye[:, None, :]
-    right = eye[:, None, :, None] * P.transpose(0, 2, 1)[:, None, :, None, :]
-    return (left - right).reshape(G, n * n, n * n)
+    out = np.zeros_like(X)
+    n = X.shape[1]
+    if n == 1:
+        return out
+    k, j = g % n, (g + 1) % n
+    if g < n:
+        out[:, k] = X[:, k]
+        out[:, :, k] -= X[:, :, k]
+    else:
+        out[:, k] = lam * X[:, j]
+        out[:, :, j] -= lam * X[:, :, k]
+    return out
 
 
-def _commutators(P: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """p X - X p for every p of a (G, n, n) stack and X of a (K, n, n) one.
-
-    Returns shape (K, G, n, n) from two matrix products per p: p times the
-    K witnesses laid side by side as one (n, K n) operand, and the K
-    witnesses stacked as one (K n, n) operand times p.  At K = 1 these are
-    the products ``P @ X - X @ P`` takes, bit for bit.  At larger K every
-    value is still exact wherever p has 0/1 entries, as at lambda = 1; only
-    the sign of a zero may follow the BLAS kernel that the shape selects.
-    """
-    K, n, _ = X.shape
-    G = len(P)
-    left = (P @ X.transpose(1, 0, 2).reshape(n, K * n)).reshape(G, n, K, n)
-    right = (X.reshape(K * n, n) @ P).reshape(G, K, n, n)
-    return left.transpose(2, 0, 1, 3) - right.transpose(1, 0, 2, 3)
-
-
-def _inner_solve_core(
-    P: np.ndarray,
+def _point_solve(
+    point: RepPoint,
     value_stacks: Sequence[np.ndarray],
     floor: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Least squares for phi(g) X - X phi(g) = D(g) over all generators g.
 
-    P is the (G, n, n) stack of images phi(g), as ``generator_images``
-    returns it; n is read from its shape.  Each g brings a (K, n, n) stack
-    of values: K right-hand sides sharing one matrix, solved in one call.
-    Zero rows of the matrix carry no unknown and are dropped (at a DiagZero
-    point that is every row, and X = 0); residuals are taken on the full
-    equations, so data in those entries still counts.  Returns the K
-    minimum-norm solutions shifted so X[0, 0] = 0 exactly (the identity is
-    central, so the shift never changes any commutator) and, per
-    right-hand side, the worst spectral residual over the generator
-    equations.  Through
-    ``spectral_norms`` that residual is exact, bit for bit, at its max and
-    wherever it exceeds floor; elsewhere it may read an upper bound that
-    stays below both.  The residuals are taken on chunks of about K / (2n)
-    right-hand sides, so they never hold more memory than one generator's
-    values; each chunk's commutators come from two stacked matrix products
-    per generator (``_commutators``).
+    Each of the 2n generators brings a (K, d, d) stack of values, K
+    right-hand sides at one point, in the order of ``generator_images``.
+    At Lambda(lam) the normal equations of the map ad: X -> (phi(g) X -
+    X phi(g))_g split: ad* ad is the scalar 2 (1 + |lam|^2) on every
+    off-diagonal entry, and on the diagonal it is |lam|^2 times the
+    Laplacian of the n-cycle, x_k -> 2 x_k - x_{k-1} - x_{k+1}.  So the
+    minimum-norm solution divides r = ad*(V) = sum_g (phi(g)^H V_g -
+    V_g phi(g)^H), formed by row and column shifts, by that scalar off the
+    diagonal, and solves the diagonal with one ``lstsq`` on the n x n
+    Laplacian for all K right-hand sides (at lam = 0 the Laplacian is 0, and
+    so is the diagonal).  The solutions are then shifted so X[0, 0] = 0
+    exactly; the identity is central, so the shift changes no bracket.
+    Where d = 1 (DiagZero points, and n = 1) every bracket is 0 and X = 0.
+
+    Returns X, shape (K, d, d), and per right-hand side the worst spectral
+    residual over the generator equations, taken one generator at a time
+    over all K.  Through ``spectral_norms`` that residual is exact, bit for
+    bit, at its max and wherever it exceeds floor; elsewhere it may read an
+    upper bound that stays below both.
     """
-    n = P.shape[1]
-    eye = np.eye(n, dtype=complex)
-    blocks = _commutator_blocks(P)
-    live = np.any(blocks != 0, axis=2)
-    x, *_ = np.linalg.lstsq(
-        blocks[live],
-        np.concatenate(
-            [v.reshape(len(v), -1)[:, k] for v, k in zip(value_stacks, live)],
-            axis=1,
-        ).T,
-        rcond=None,
-    )
-    X = x.T.reshape(-1, n, n)
-    X = X - X[:, :1, :1] * eye
-    step = max(1, len(X) // len(P))
-    residual = np.empty(len(X))
-    for s in range(0, len(X), step):
-        Vs = np.stack([v[s : s + step] for v in value_stacks], axis=1)
-        norms = spectral_norms(_commutators(P, X[s : s + step]) - Vs, floor)
-        residual[s : s + step] = norms.max(axis=1)
+    n = len(value_stacks) // 2
+    K, d, _ = value_stacks[0].shape
+    X = np.zeros((K, d, d), dtype=complex)
+    lam = point.value if d > 1 else 0.0  # a 1 x 1 bracket is 0 at any lam
+    if d > 1:
+        lam_h = lam.conjugate()
+        for k in range(n):
+            ve, vz, j = value_stacks[k], value_stacks[n + k], (k + 1) % n
+            X[:, k] += ve[:, k]
+            X[:, :, k] -= ve[:, :, k]
+            X[:, j] += lam_h * vz[:, k]
+            X[:, :, k] -= lam_h * vz[:, :, j]
+        idx = np.arange(n)
+        rhs = X[:, idx, idx].T
+        X /= 2 + 2 * abs(lam) ** 2
+        eye = np.eye(n)
+        cycle = 2 * eye - eye[idx - 1] - eye[(idx + 1) % n]
+        diag, *_ = np.linalg.lstsq(abs(lam) ** 2 * cycle, rhs, rcond=None)
+        X[:, idx, idx] = (diag - diag[:1]).T
+    residual = np.zeros(K)
+    for g, v in enumerate(value_stacks):
+        norms = spectral_norms(_shift_bracket(lam, g, X) - v, floor)
+        np.maximum(residual, norms, out=residual)
     return X, residual
 
 
 def inner_solve(D: GenDerivation, tol: float | None = None) -> InnerSolveResult:
     """Decide whether derivation data at a representation point is inner.
 
-    Solves the commutator equations on all 2n generators, with the images
-    of ``generator_images``, by least squares and reports the post-hoc
-    worst-case residual; data counts as inner when the residual is at most
-    the tolerance (default config.TOL_INNER).  At a DiagZero point every
-    commutator of the 1 x 1 images is 0, so the system is empty: X = 0 and
-    the residual is the largest generator value.
+    Solves the commutator equations on all 2n generators by least squares,
+    in the closed form of ``_point_solve`` with one right-hand side, and
+    reports the post-hoc worst-case residual; data counts as inner when the
+    residual is at most the tolerance (default config.TOL_INNER).  At a
+    DiagZero point, and at n = 1, every commutator of the 1 x 1 images is
+    0: X = 0 without a solve, and the residual is the largest generator
+    value.
     """
     tol = config.TOL_INNER if tol is None else tol
-    X, residual = _inner_solve_core(
-        generator_images(D.point, D.n),
-        [v[None] for v in (*D.values_e, *D.values_Z)],
-        tol,
+    X, residual = _point_solve(
+        D.point, [v[None] for v in (*D.values_e, *D.values_Z)], tol
     )
     residual = float(residual[0])
     return InnerSolveResult(D.point, X[0], residual, residual <= tol, tol)

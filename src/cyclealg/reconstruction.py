@@ -28,7 +28,7 @@ from .algebra import (
     parse_realized,
     zero,
 )
-from .derivations import GenDerivation, _inner_solve_core
+from .derivations import GenDerivation, _point_solve
 from .errors import DegreeOverflow, DimensionMismatch, GridTooSmall
 from .errors import NotLocallyInner
 from .poly import Poly, float_from_json, int_from_json
@@ -37,7 +37,6 @@ from .representations import (
     Lambda,
     eval_rep,
     eval_rep_at_unit_roots,
-    generator_images,
     matc_from_json,
     matc_to_json,
 )
@@ -231,9 +230,9 @@ def solve_boundary_field(
     witness z-degree exceeds the data's): they raise GridTooSmall.
 
     On |lambda| = 1 the arrow equations lambda (P X - X P) = b have the
-    least-squares rows of P X - X P = b / lambda, so the grid is one solve
-    of the lambda = 1 system with m right-hand sides.  Raises
-    NotLocallyInner at the first grid point over tolerance.
+    least-squares rows of P X - X P = b / lambda, so the grid is one
+    closed-form ``_point_solve`` at lambda = 1 with m right-hand sides.
+    Raises NotLocallyInner at the first grid point over tolerance.
     """
     tol = config.TOL_INNER if tol is None else tol
     n = D.n
@@ -248,8 +247,8 @@ def solve_boundary_field(
     loc_Z = [eval_rep_at_unit_roots(v, m) for v in D.values_Z]
     for loc in loc_Z:
         loc /= roots[:, None, None]
-    X_at, residual = _inner_solve_core(
-        generator_images(Lambda(1.0), n),
+    X_at, residual = _point_solve(
+        Lambda(1.0),
         [eval_rep_at_unit_roots(v, m) for v in D.values_e] + loc_Z,
         tol,
     )

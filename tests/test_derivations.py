@@ -14,6 +14,7 @@ from cyclealg.algebra import (
     monomial_elem,
     mul_elem,
     random_element,
+    spectral_norms,
 )
 from cyclealg.derivations import (
     F_point_derivation,
@@ -541,6 +542,46 @@ def test_inner_solve_at_a_diag0_point(n):
         assert not inner_solve(small, tol=1e-10).consistent
 
 
+def _commutator_blocks(P):
+    """The matrices of X -> p X - X p for a (G, n, n) stack of p.
+
+    On row-major vec(X), block g is kron(p, 1) - kron(1, p.T), that is
+    ``blocks[g, (i, j), (k, l)] = p[i, k] delta_jl - delta_ik p[l, j]``.
+    All G blocks come from one broadcast, with the same complex products
+    as ``np.kron`` takes, so every entry (the sign of a zero included) is
+    bit for bit the kron one.
+    """
+    G, n, _ = P.shape
+    eye = np.eye(n, dtype=complex)
+    left = P[:, :, None, :, None] * eye[:, None, :]
+    right = eye[:, None, :, None] * P.transpose(0, 2, 1)[:, None, :, None, :]
+    return (left - right).reshape(G, n * n, n * n)
+
+
+def _per_pair_commutators(P, X):
+    """The broadcast oracle: one n x n product per (witness, generator)."""
+    return P @ X[:, None] - X[:, None] @ P
+
+
+def kron_solve(D: GenDerivation):
+    """The dense least-squares oracle for inner_solve: one ``lstsq`` on the
+    2n stacked commutator blocks (zero rows dropped), the minimum-norm
+    solution shifted to X[0, 0] = 0, and the worst spectral residual of
+    the per-pair products over all generators in one stack."""
+    n, dim = D.n, D.values_e[0].shape[0]
+    P = generator_images(D.point, n)
+    V = np.stack(D.values_e + D.values_Z)
+    blocks = _commutator_blocks(P)
+    live = np.any(blocks != 0, axis=2)
+    x, *_ = np.linalg.lstsq(
+        blocks[live], V.reshape(2 * n, -1)[live], rcond=None
+    )
+    X = x.reshape(dim, dim)
+    X = X - X[0, 0] * np.eye(dim)
+    residuals = spectral_norms(_per_pair_commutators(P, X[None]) - V)
+    return X, float(residuals.max())
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize(
     "lam", [0.0, 1.0, 0.3 + 0.4j, complex(np.exp(0.7j)), -0.7j]
@@ -550,48 +591,116 @@ def test_commutator_blocks_match_kron_bit_for_bit(n, lam):
     P = generator_images(Lambda(lam), n)
     eye = np.eye(n, dtype=complex)
     want = np.stack([np.kron(p, eye) - np.kron(eye, p.T) for p in P])
-    got = derivations._commutator_blocks(P)
+    got = _commutator_blocks(P)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def _per_pair_commutators(P, X):
-    """The broadcast oracle: one n x n product per (witness, generator)."""
-    return P @ X[:, None] - X[:, None] @ P
+SOLVE_POINTS = [
+    Lambda(0.0),
+    Lambda(1.0),
+    Lambda(1j),
+    Lambda(np.exp(0.7j)),
+    Lambda(0.3 + 0.2j),
+    DiagZero(1),
+]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-@pytest.mark.parametrize(
-    "lam", [0.0, 1.0, 0.3 + 0.4j, -0.7j, complex(np.exp(0.7j))]
-)
-def test_commutators_of_one_witness_match_per_pair_products(n, lam):
-    # K = 1 serves inner_solve: the same products, so the same bits
-    rng = np.random.default_rng(80 + n)
-    P = generator_images(Lambda(lam), n)
-    X = random_matrix(rng, n)[None]
-    X[0, 0, 0] = 0.0
-    want = _per_pair_commutators(P, X)
-    got = derivations._commutators(P, X)
-    assert got.shape == want.shape == (1, 2 * n, n, n)
-    assert got.tobytes() == want.tobytes()
+@pytest.mark.parametrize("point", SOLVE_POINTS, ids=repr)
+def test_closed_form_solve_matches_the_kron_least_squares(n, point):
+    # the normal equations are 2 (1 + |lam|^2) off the diagonal and
+    # |lam|^2 times the cycle Laplacian on it, so the closed form is the
+    # minimum-norm solution the dense lstsq returns
+    rng = np.random.default_rng(100 + n)
+    dim = n if isinstance(point, Lambda) else 1
+    D = GenDerivation.from_commutator(point, random_matrix(rng, dim), n)
+    noise = random_data(rng, point, n)
+    bumped = GenDerivation(
+        point,
+        tuple(v + 1e-3 * w for v, w in zip(D.values_e, noise.values_e)),
+        tuple(v + 1e-3 * w for v, w in zip(D.values_Z, noise.values_Z)),
+    )
+    for data in (D, bumped):
+        want_X, want_residual = kron_solve(data)
+        got = inner_solve(data)
+        scale = max(np.abs(want_X).max(), 1.0)
+        assert np.abs(got.X - want_X).max() <= 1e-13 * scale
+        assert got.X[0, 0] == 0.0
+        if point == Lambda(0.0):
+            # the diagonal is free at the center; the minimum norm is 0
+            assert np.all(np.diag(got.X) == 0.0)
+    # on perturbed data the residual is about 1e-3, far above rounding
+    assert got.residual == pytest.approx(want_residual, rel=1e-12, abs=0.0)
+
+
+def test_inner_solve_at_n_64_holds_no_dense_matrix():
+    # the closed form holds a few n x n arrays per right-hand side; its
+    # traced peak at n = 64 reads 0.35 MB, where the dense 2n n^2 x n^2
+    # commutator matrix alone would take 34 GB
+    import tracemalloc
+
+    n = 64
+    rng = np.random.default_rng(120)
+    D = GenDerivation.from_commutator(
+        Lambda(0.45 - 0.3j), random_matrix(rng, n), n
+    )
+    tracemalloc.start()
+    try:
+        result = inner_solve(D)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.consistent and result.residual < 1e-12
+    assert peak < 32e6, peak
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_one_by_one_points_take_no_solve(n, monkeypatch):
+    # where d = 1 every bracket is 0: X = 0 without an lstsq, and the
+    # residual, one spectral norm per generator, is the dense solve's bit
+    # for bit
+    rng = np.random.default_rng(110 + n)
+    points = [DiagZero(i) for i in range(1, n + 1)]
+    cases = [random_data(rng, point, n) for point in points]
+    for i in (1, n):
+        cases.append(diag0_data(n, i, complex(rng.normal(), rng.normal())))
+    if n == 1:
+        cases += [random_data(rng, Lambda(lam), 1) for lam in (0.0, 0.6j, 1.0)]
+    want = [kron_solve(D)[1] for D in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("lstsq called at a 1 x 1 point")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    for D, residual in zip(cases, want):
+        solve = inner_solve(D)
+        assert solve.X.tobytes() == np.zeros((1, 1), complex).tobytes()
+        assert solve.residual == residual
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_commutators_at_lambda_one_are_exact(n):
-    # at lambda = 1 every generator has 0/1 entries, so every product is
-    # exact whatever the operand shape.  The sign of an exact zero follows
-    # the BLAS kernel that the shape selects, so it is not compared here
-    # (np.array_equal reads -0.0 == 0.0); a singular-value decomposition
-    # can read that sign, and a residual computed from it can move in its
-    # last bit.
+def test_shift_brackets_equal_the_products(n):
+    # gX - Xg by index arithmetic.  At lambda = 1 and at the dyadic
+    # 0.5 - 0.25i every real product of a bracket is exact, so both routes
+    # round the same sums once and agree under == (which reads -0.0 ==
+    # 0.0).  At a generic lambda the BLAS kernel may fuse a product into
+    # its sum, so the two agree only to rounding.
     rng = np.random.default_rng(90 + n)
-    P = generator_images(Lambda(1.0), n)
-    for K in (1, 28, 56 * n):
-        X = rng.normal(size=(K, n, n)) + 1j * rng.normal(size=(K, n, n))
-        X[:, 0, 0] = 0.0
-        want = _per_pair_commutators(P, X)
-        got = derivations._commutators(P, X)
-        assert got.shape == want.shape == (K, 2 * n, n, n)
-        assert np.array_equal(got, want), K
+    cases = ((1.0, True), (0.5 - 0.25j, True), (np.exp(0.7j), False))
+    for lam, exact in cases:
+        P = generator_images(Lambda(lam), n)
+        for K in (1, 28, 56 * n):
+            X = rng.normal(size=(K, n, n)) + 1j * rng.normal(size=(K, n, n))
+            X[:, 0, 0] = 0.0
+            want = _per_pair_commutators(P, X)
+            for g in range(2 * n):
+                got = derivations._shift_bracket(lam, g, X)
+                assert got.shape == (K, n, n)
+                if exact:
+                    assert np.array_equal(got, want[:, g]), (lam, K, g)
+                else:
+                    gap = np.abs(got - want[:, g]).max()
+                    assert gap <= 4e-16 * np.abs(X).max(), (K, g)
 
 
 # ----------------------------------------------------------------------

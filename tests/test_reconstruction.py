@@ -364,12 +364,13 @@ def test_verify_needs_no_grid_for_zero_residuals():
 
 
 def test_boundary_solve_memory_stays_chunked():
-    # The residual is taken in chunks of about one generator's values, so
+    # The residual is taken one generator at a time over all m points, so
     # the traced peak of the whole solve, in units of one (m, n, n) value
-    # stack, reads 26.2 at n = 8: the 2n value stacks and the least-squares
-    # solve over them.  Taking the residual of all m points at once reads
-    # 100.7 units; a bound of 30 catches any such un-chunking before it
-    # shows in a process's peak memory.
+    # stack, reads 20.3 at n = 8: the 2n value stacks, the witness stack,
+    # and one generator's bracket, residual and norm temporaries.  Forming
+    # the residuals of all 2n generators at once would add at least 2n
+    # stacks; a bound of 30 catches that before it shows in a process's
+    # peak memory.
     import tracemalloc
 
     n, deg_max = 8, 12
