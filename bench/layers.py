@@ -1,7 +1,7 @@
 """Per-layer timings of the point-derivation path, one column per checkout.
 
     python bench/layers.py --column parent=../parent/src --column change=src \
-        --out BENCH_17.json
+        --out BENCH_18.json
 
 Each ``--column LABEL=SRC`` imports ``cyclealg`` from the directory SRC in
 a fresh interpreter (BLAS pinned to one thread) and times, at n = 1, 2, 4
@@ -62,7 +62,13 @@ and 6 on fixed seeded inputs:
   JSON), ``CycleElement.__add__`` of the first vertex and arrow values,
   ``mul_elem`` of the witness by the first arrow generator,
   ``eval_rep_at_unit_roots`` of the first arrow value on the default grid,
-  and ``Poly.__mul__`` of two seeded polynomials of degree 4 n.
+  ``Poly.__mul__`` of two seeded polynomials of degree 4 n,
+  ``reconstruct_witness`` of the solved boundary field, and
+  ``parse_realized`` of the witness realized at the grid length m, the
+  shape ``reconstruct_witness`` hands it (in a checkout whose
+  ``parse_realized`` reads a grid of ``Poly`` entries, the one that has
+  ``CycleElement.realize``, the array is handed over as that grid, built
+  outside the timed call).
 
 Within one interpreter a timing is the median over 7 repeats of the
 per-call time; each repeat runs as many calls as ``timeit`` needs to last at
@@ -108,7 +114,8 @@ def measure(src: str) -> dict:
     import numpy as np
 
     from cyclealg import cli, derivations
-    from cyclealg.algebra import element_from_json, gen_Z, mul_elem, norm
+    from cyclealg.algebra import CycleElement, element_from_json, gen_Z
+    from cyclealg.algebra import mul_elem, norm, parse_realized
     from cyclealg.algebra import random_element, zero
     from cyclealg.derivations import GenDerivation, check_leibniz, inner_solve
     from cyclealg.derivations import gen_derivation_from_json
@@ -212,9 +219,11 @@ def measure(src: str) -> dict:
     for n in RECONSTRUCT_SIZES:
         rng = np.random.default_rng(700 + n)
         D = GlobalDerivation.from_commutator(random_element(n, rng, deg=8))
-        witness = reconstruct_witness(
-            solve_boundary_field(D, deg_max=12), deg_max=12
-        )
+        field = solve_boundary_field(D, deg_max=12)
+        witness = reconstruct_witness(field, deg_max=12)
+        realized = witness.realized_coeffs(field.m)
+        if hasattr(CycleElement, "realize"):
+            realized = tuple(tuple(Poly(c) for c in row) for row in realized)
         local = localize(D, lam)
         doc = json.loads(json.dumps(D.to_json()))
         arrow = gen_Z(n, 1)
@@ -239,6 +248,10 @@ def measure(src: str) -> dict:
                 D.values_Z[0], 56 * n
             ),
             "Poly.__mul__": lambda: p * q,
+            "reconstruct_witness": lambda: reconstruct_witness(
+                field, deg_max=12
+            ),
+            "parse_realized": lambda: parse_realized(realized, n),
         }
         for name, fn in cases.items():
             out.setdefault(name, {})[f"n{n}"] = median_call(fn)

@@ -18,8 +18,10 @@ trims a row, every slot past an entry's end holds +0.0, and L is the length
 of the longest entry.  Every operation that makes an element (sums,
 differences, negation, scalar and algebra products, random draws, the JSON
 reader) writes one raw array and hands it to the one constructor, which
-trims it.  The results are bit for bit those of the same arithmetic done
-entry by entry on ``Poly`` objects.
+trims it.  Every element API takes or returns coefficient arrays: a
+diagonal entry is one coefficient row, and an element is realized in z as
+the (n, n, L') array ``realized_coeffs`` and read back by
+``parse_realized``.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ import numpy as np
 
 from . import config
 from .errors import DimensionMismatch, NotInAlgebra
-from .poly import Poly, _complex_pairs, _trim
-from .poly import eval_at_unit_roots
-from .poly import int_from_json, poly_from_json
+from .poly import _complex_pairs, _trim, complex_from_json
+from .poly import eval_at_unit_roots, int_from_json
 
 # x + (-0.0) is x bit for bit, the sign of a zero included; 0.0 is not
 _NEG_ZERO = complex(-0.0, -0.0)
@@ -84,36 +85,6 @@ class CycleElement:
         canonical, ends = _trim(coeffs)
         object.__setattr__(self, "coeffs", canonical)
         object.__setattr__(self, "ends", ends)
-
-    # ---- construction helpers -------------------------------------------
-
-    @classmethod
-    def from_rows(cls, rows, n: int | None = None) -> CycleElement:
-        """The element with entry grid rows, n x n Poly or numbers."""
-        rows = [
-            [p if isinstance(p, Poly) else Poly([p]) for p in row]
-            for row in rows
-        ]
-        size = len(rows)
-        if any(len(row) != size for row in rows):
-            raise DimensionMismatch("entry grid is not n x n")
-        length = max((len(p.coeffs) for row in rows for p in row), default=0)
-        coeffs = np.zeros((size, size, length), dtype=complex)
-        for out, row in zip(coeffs, rows):
-            for c, p in zip(out, row):
-                c[: len(p.coeffs)] = p.coeffs
-        return cls(size if n is None else n, coeffs)
-
-    @property
-    def entries(self) -> tuple[tuple[Poly, ...], ...]:
-        """The entries as Poly objects, entries[i][j] = f_{i,j}.
-
-        A read-only view, built from ``coeffs`` on each access.
-        """
-        return tuple(
-            tuple(Poly(c[:end]) for c, end in zip(row, row_ends))
-            for row, row_ends in zip(self.coeffs, self.ends.tolist())
-        )
 
     def _padded(self, length: int, pad: complex) -> np.ndarray:
         """coeffs widened to length, with pad in every slot past an end."""
@@ -182,9 +153,9 @@ class CycleElement:
 
     @property
     def norm_l1(self) -> float:
-        """The largest ``Poly.norm_l1`` over the entries.
+        """The largest coefficient l1 sum over the entries.
 
-        Each entry is summed on its own trimmed row, as ``Poly`` sums it.
+        Each entry is summed on its own trimmed row.
         """
         rows = self.coeffs.reshape(self.n**2, self.coeffs.shape[2])
         return max(
@@ -193,13 +164,6 @@ class CycleElement:
         )
 
     # ---- realization -----------------------------------------------------
-
-    def realize(self) -> tuple[tuple[Poly, ...], ...]:
-        """Entries as polynomials in the disk variable z."""
-        # the zeros past each realized entry are trimmed off again
-        return tuple(
-            tuple(Poly(c) for c in row) for row in self.realized_coeffs()
-        )
 
     def realized_coeffs(self, length: int | None = None) -> np.ndarray:
         """(n, n, L) tensor of z-coefficients of the realized entries."""
@@ -243,7 +207,7 @@ def zero(n: int) -> CycleElement:
 
 
 def identity(n: int) -> CycleElement:
-    return diagonal(n, Poly.one())
+    return diagonal(n, [1.0])
 
 
 def monomial_elem(
@@ -259,10 +223,14 @@ def monomial_elem(
     return CycleElement(n, c)
 
 
-def diagonal(n: int, f: Poly) -> CycleElement:
-    """The element with f at every diagonal position."""
-    c = np.zeros((n, n, len(f.coeffs)), dtype=complex)
-    c[range(n), range(n)] = f.coeffs
+def diagonal(n: int, f) -> CycleElement:
+    """The element with the coefficient row f at every diagonal position.
+
+    f[k] is the coefficient of w**k; the constructor trims the row.
+    """
+    f = np.asarray(f, dtype=complex)
+    c = np.zeros((n, n, len(f)), dtype=complex)
+    c[range(n), range(n)] = f
     return CycleElement(n, c)
 
 
@@ -330,34 +298,32 @@ def mul_elem(a: CycleElement, b: CycleElement) -> CycleElement:
 
 
 def parse_realized(realized, n: int | None = None) -> CycleElement:
-    """Recover an element from its realized z-entry grid.
+    """Recover an element from its realized (n, n, L) z-coefficient array.
 
-    Accepts an n x n grid of Poly in z.  Every coefficient of modulus above
-    EPS_COEFF must sit on the admissible exponent ladder for its position;
-    otherwise NotInAlgebra is raised with 1-based coordinates.
+    realized[i, j, k] is the coefficient of z**k in entry (i, j), as
+    ``realized_coeffs`` writes it.  Every coefficient of modulus above
+    EPS_COEFF must sit on the admissible exponent ladder s + n * t of its
+    position; otherwise NotInAlgebra names the first one in row-major
+    (i, j, k) order, with 1-based coordinates.
     """
-    grid = tuple(tuple(row) for row in realized)
-    size = len(grid)
+    c = np.asarray(realized, dtype=complex)
+    size = len(c) if c.ndim else 0
     if n is not None and n != size:
         raise DimensionMismatch(f"expected n = {n}, got grid of size {size}")
-    if size < 1 or any(len(row) != size for row in grid):
+    if size < 1 or c.ndim != 3 or c.shape[1] != size:
         raise DimensionMismatch("realized grid is not square")
-    ladders = []
-    for i in range(size):
-        for j in range(size):
-            p = grid[i][j]
-            c = p.coeffs if isinstance(p, Poly) else Poly(p).coeffs
-            s = _steps(i, j, size)
-            off = np.abs(c) > config.EPS_COEFF
-            off[s::size] = False
-            if off.any():
-                k = int(np.argmax(off))
-                raise NotInAlgebra(i + 1, j + 1, k, complex(c[k]))
-            ladders.append((i, j, c[s::size]))
-    stack = np.zeros((size, size, max(len(c) for *_, c in ladders)), complex)
-    for i, j, c in ladders:
-        stack[i, j, : len(c)] = c
-    return CycleElement(size, stack)
+    r = np.arange(size)
+    steps = (r - r[:, None]) % size
+    off = np.abs(c) > config.EPS_COEFF
+    off &= np.arange(c.shape[2]) % size != steps[..., None]
+    if off.any():
+        i, j, k = np.unravel_index(np.argmax(off), off.shape)
+        raise NotInAlgebra(int(i) + 1, int(j) + 1, int(k), complex(c[i, j, k]))
+    # z-exponent s + n * t sits at [t, s] once L is padded to a multiple of n
+    padded = np.zeros((size, size, c.shape[2] + -c.shape[2] % size), complex)
+    padded[..., : c.shape[2]] = c
+    ladders = padded.reshape(size, size, -1, size)[r[:, None], r, :, steps]
+    return CycleElement(size, ladders)
 
 
 def _largest_singular_values(stack: np.ndarray) -> np.ndarray:
@@ -453,29 +419,32 @@ def element_from_json(data: dict) -> CycleElement:
     """An element read from its JSON, all coefficients in one array.
 
     Entries that are lists of [re, im] pairs of finite floats are read in
-    one pass.  Anything else goes to ``poly_from_json`` entry by entry,
-    which reads integers too and raises the first error in reading order,
-    with the message of ``float_from_json``.
+    one pass.  Anything else is read pair by pair with
+    ``complex_from_json``, which reads integers too and raises the first
+    error in reading order, with the message of ``float_from_json``.
     """
     try:
         n = int_from_json(data["n"], "n", 1)
         grid = data["entries"]
         try:
-            shape = [len(row) for row in grid]
-            entries = [p for row in grid for p in row]
-            lengths = np.array([len(p) for p in entries], dtype=int)
-            values = _complex_pairs(list(chain.from_iterable(entries)))
+            pairs = chain.from_iterable(chain.from_iterable(grid))
+            values = _complex_pairs(list(pairs))
         except TypeError:
             values = None
         if values is None:
-            rows = [[poly_from_json(p) for p in row] for row in grid]
+            values = [
+                complex_from_json(re, im, "coefficient")
+                for row in grid
+                for p in row
+                for re, im in p
+            ]
+        shape = [len(row) for row in grid]
+        lengths = [len(p) for row in grid for p in row]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed element JSON: {exc}") from exc
-    if values is None:
-        return CycleElement.from_rows(rows, n)
     if shape != [n] * n:
         raise DimensionMismatch("entry grid is not n x n")
-    stack = np.zeros((n, n, lengths.max(initial=0)), dtype=complex)
-    inside = np.arange(stack.shape[2]) < lengths.reshape(n, n, 1)
+    stack = np.zeros((n, n, max(lengths, default=0)), dtype=complex)
+    inside = np.arange(stack.shape[2]) < np.reshape(lengths, (n, n, 1))
     stack[inside] = values  # row-major
     return CycleElement(n, stack)

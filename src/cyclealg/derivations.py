@@ -587,7 +587,7 @@ def boundary_approx_identity(
         coeffs = h.coeffs.copy()
         coeffs[0] -= defect
         h = Poly(coeffs)
-        F = diagonal(n, h)
+        F = diagonal(n, h.coeffs)
         shifted = h.coeffs.copy()
         shifted[0] -= 1.0
         gap = np.abs(eval_at_unit_roots(shifted, norm_grid))[fold]

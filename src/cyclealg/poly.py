@@ -13,9 +13,8 @@ applies it to one row; the element layer applies it to the (n, n, L) array
 that holds all n**2 entries of an element.
 
 ``Poly`` itself still serves the powers of the approximate-identity ladder,
-the entries interpolated by ``interpolate_roots_of_unity``, the ``entries``
-and ``realize`` views of an element, ``CycleElement.from_rows``, and the
-suite's ring rows.
+the entries interpolated by ``interpolate_roots_of_unity``, and the suite's
+ring rows; the element layer reads and writes coefficient arrays only.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import math
 from itertools import chain
 from numbers import Integral, Real
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -168,10 +167,6 @@ class Poly:
             return 0j if scalar else np.zeros(np.shape(x), dtype=complex)
         value = np.polynomial.polynomial.polyval(x, self.coeffs)
         return complex(value) if scalar else value
-
-
-def poly_from_json(data: Sequence[Sequence[float]]) -> Poly:
-    return Poly([complex_from_json(re, im, "coefficient") for re, im in data])
 
 
 def complex_from_json(re, im=0.0, name: str = "number") -> complex:

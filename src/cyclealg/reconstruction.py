@@ -31,7 +31,7 @@ from .algebra import (
 from .derivations import GenDerivation, _point_solve
 from .errors import DegreeOverflow, DimensionMismatch, GridTooSmall
 from .errors import NotLocallyInner
-from .poly import Poly, float_from_json, int_from_json
+from .poly import float_from_json, int_from_json
 from .poly import interpolate_roots_of_unity
 from .representations import (
     Lambda,
@@ -265,20 +265,22 @@ def reconstruct_witness(
     """Interpolate a boundary field into a single algebra element.
 
     Off-diagonal entries come from trigonometric interpolation of the
-    corresponding witness entries.  Diagonal entries are rebuilt from the
-    arrow commutator readings, telescoped from the normalized (1, 1) entry,
-    which keeps the per-point centering of the witnesses out of the result.
+    corresponding witness entries, written as z-coefficients into one
+    (n, n, m) array that ``parse_realized`` reads back.  Diagonal entries
+    are rebuilt from the arrow commutator readings, telescoped from the
+    normalized (1, 1) entry, which keeps the per-point centering of the
+    witnesses out of the result.
     The interpolant must land back in the algebra (NotInAlgebra otherwise)
     with entry degrees within the cap (DegreeOverflow otherwise).
     """
     n, m = field.n, field.m
     cap = config.DEG_MAX if deg_max is None else deg_max
-    blank = Poly()
-    realized: list[list[Poly]] = [[blank] * n for _ in range(n)]
+    realized = np.zeros((n, n, m), dtype=complex)
     for i in range(n):
         for j in range(n):
             if i != j:
-                realized[i][j] = interpolate_roots_of_unity(field.X_at[:, i, j])
+                row = interpolate_roots_of_unity(field.X_at[:, i, j]).coeffs
+                realized[i, j, : len(row)] = row
     # diagonal from arrow readings: the (i, i+1) commutator entry divided by
     # lambda equals X[i+1, i+1] - X[i, i] at each grid point
     diffs = [
@@ -288,7 +290,8 @@ def reconstruct_witness(
     running = np.zeros(m, dtype=complex)
     for i in range(n - 1):
         running = running + diffs[i]
-        realized[i + 1][i + 1] = interpolate_roots_of_unity(running)
+        row = interpolate_roots_of_unity(running).coeffs
+        realized[i + 1, i + 1, : len(row)] = row
     element = parse_realized(realized, n)
     if element.max_degree > cap:
         raise DegreeOverflow(element.max_degree, cap)

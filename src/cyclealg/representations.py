@@ -160,7 +160,7 @@ def kernel_sample(
             stack[..., : g.coeffs.shape[2]] = g.coeffs
         else:
             for i, j in zip(*np.nonzero(g.ends)):
-                # as in Poly factor * entry
+                # the principal factor times the entry, by convolution
                 c = np.convolve(factor, g.coeffs[i, j, : g.ends[i, j]])
                 stack[i, j, : len(c)] = c
         stack[vertices, vertices, 0] = 0.0

@@ -30,7 +30,9 @@ from cyclealg.algebra import (
 from cyclealg.errors import DimensionMismatch, NotInAlgebra
 from cyclealg.config import EPS_COEFF
 from cyclealg.derivations import canonical_kernel_elements
-from cyclealg.poly import Poly, _trim, poly_from_json
+from cyclealg.poly import Poly, _trim
+
+from oracles import entries, from_rows, poly_from_json, realize
 
 
 def realized_product(a: CycleElement, b: CycleElement) -> np.ndarray:
@@ -148,6 +150,39 @@ def test_ring_axioms_random():
             assert a - a == zero(n)
 
 
+@st.composite
+def factors(draw, n, deg):
+    """A generator, or a seeded dense element of w-degree deg at scale 1 or
+    1e3; dense coefficients are uniform in the complex unit box."""
+    if draw(st.booleans()):
+        gen = draw(st.sampled_from([gen_e, gen_Z]))
+        return gen(n, draw(st.integers(1, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    scale = draw(st.sampled_from([1.0, 1e3]))
+    return random_element(n, rng, deg=deg, scale=scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 6), st.integers(0, 8))
+def test_mul_elem_is_associative_to_rounding(data, n, deg):
+    # taken on the raw coefficient arrays: a difference of elements would
+    # trim every gap below EPS_COEFF and read exactly zero.  Each coefficient
+    # of either side sums products of three coefficients whose moduli add up
+    # to at most n**2 |a| |b| |c| (|.| = norm_l1), along a chain of at most
+    # K = 4 n (deg + 1) + 8 roundings (Higham, Accuracy and Stability of
+    # Numerical Algorithms, 2002, ch. 3)
+    a, b, c = (data.draw(factors(n, deg)) for _ in range(3))
+    lhs = mul_elem(mul_elem(a, b), c).coeffs
+    rhs = mul_elem(a, mul_elem(b, c)).coeffs
+    gap = np.zeros((n, n, max(lhs.shape[2], rhs.shape[2])), dtype=complex)
+    gap[..., : lhs.shape[2]] += lhs
+    gap[..., : rhs.shape[2]] -= rhs
+    K = 4 * n * (deg + 1) + 8
+    scale = n**2 * a.norm_l1 * b.norm_l1 * c.norm_l1
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(gap), initial=0.0) <= 2 * K * eps * scale
+
+
 def test_operator_syntax():
     a = gen_Z(2, 1)
     b = gen_Z(2, 2)
@@ -174,7 +209,7 @@ def test_dimension_mismatch():
 
 def test_realize_places_arrow_at_z():
     Z = gen_Z(2, 1)
-    grid = Z.realize()
+    grid = realize(Z)
     assert grid[0][1] == Poly([0, 1])
     assert grid[0][0].is_zero and grid[1][0].is_zero and grid[1][1].is_zero
 
@@ -182,18 +217,19 @@ def test_realize_places_arrow_at_z():
 def test_realize_ladder_spacing():
     # entry (2, 1) of an n = 3 element with f = 1 + w realizes as z^2 + z^5
     a = monomial_elem(3, 2, 1, 0) + monomial_elem(3, 2, 1, 1)
-    assert a.realize()[1][0] == Poly([0, 0, 1, 0, 0, 1])
+    assert realize(a)[1][0] == Poly([0, 0, 1, 0, 0, 1])
 
 
 def test_parse_realized_round_trip():
     rng = np.random.default_rng(23)
     for n in (1, 2, 4):
         a = random_element(n, rng, deg=5)
-        assert parse_realized(a.realize(), n) == a
+        assert parse_realized(a.realized_coeffs(), n) == a
 
 
 def test_parse_realized_rejects_off_ladder():
-    grid = [[Poly([0, 1]), Poly()], [Poly(), Poly()]]
+    grid = np.zeros((2, 2, 2), dtype=complex)
+    grid[0, 0, 1] = 1.0
     # z at position (1, 1) needs exponent 0 mod 2
     with pytest.raises(NotInAlgebra) as info:
         parse_realized(grid, 2)
@@ -202,9 +238,12 @@ def test_parse_realized_rejects_off_ladder():
 
 def test_parse_realized_shape_checks():
     with pytest.raises(DimensionMismatch):
-        parse_realized([[Poly()]], 2)
+        parse_realized(np.zeros((1, 1, 0)), 2)
     with pytest.raises(DimensionMismatch):
-        parse_realized([[Poly(), Poly()]], None)
+        parse_realized(np.zeros((1, 2, 0)), None)
+    # a grid without a coefficient axis is no realized array
+    with pytest.raises(DimensionMismatch):
+        parse_realized(np.zeros((2, 2)), None)
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +258,7 @@ def test_norm_frozen_values():
     assert gen_Z(1, 1).norm() == pytest.approx(1.0, abs=1e-12)
     assert (gen_Z(2, 1) + gen_Z(2, 2)).norm() == pytest.approx(1.0, abs=1e-12)
     # 1 + w on the diagonal peaks at w = 1
-    assert diagonal(2, Poly([1, 1])).norm() == pytest.approx(2.0, abs=1e-9)
+    assert diagonal(2, [1, 1]).norm() == pytest.approx(2.0, abs=1e-9)
 
 
 def test_norm_matches_dense_svd_oracle():
@@ -228,7 +267,7 @@ def test_norm_matches_dense_svd_oracle():
         a = random_element(n, rng, deg=4)
         grid = 64
         worst = 0.0
-        realized = a.realize()
+        realized = realize(a)
         for t in range(grid):
             zt = np.exp(2j * np.pi * t / grid)
             mat = np.array(
@@ -408,7 +447,7 @@ def test_max_degree_and_is_zero():
 def test_random_element_normalized():
     rng = np.random.default_rng(27)
     a = random_element(2, rng, deg=5, normalize=True)
-    assert max(p.norm_l1 for row in a.entries for p in row) <= 1.0 + 1e-12
+    assert max(p.norm_l1 for row in entries(a) for p in row) <= 1.0 + 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -418,8 +457,8 @@ def test_random_element_normalized():
 
 def entrywise(op, *elements) -> CycleElement:
     n = elements[0].n
-    grids = [e.entries for e in elements]
-    return CycleElement.from_rows(
+    grids = [entries(e) for e in elements]
+    return from_rows(
         tuple(
             tuple(op(*(g[i][j] for g in grids)) for j in range(n))
             for i in range(n)
@@ -431,7 +470,7 @@ def mul_oracle(a, b) -> CycleElement:
     """The product entry by entry: acc = 0.0, then + a_ik b_kj in ascending
     k, one Poly per entry."""
     n = a.n
-    a_entries, b_entries = a.entries, b.entries
+    a_entries, b_entries = entries(a), entries(b)
     rows = []
     for i in range(n):
         row = []
@@ -453,12 +492,12 @@ def mul_oracle(a, b) -> CycleElement:
                 acc[excess : excess + len(prod)] += prod
             row.append(Poly(acc) if acc is not None else Poly())
         rows.append(tuple(row))
-    return CycleElement.from_rows(tuple(rows))
+    return from_rows(tuple(rows))
 
 
 def bits(a: CycleElement):
     """Every coefficient bit of an element, and its JSON text."""
-    raw = [[p.coeffs.tobytes() for p in row] for row in a.entries]
+    raw = [[p.coeffs.tobytes() for p in row] for row in entries(a)]
     return a.n, raw, json.dumps(a.to_json())
 
 
@@ -491,7 +530,7 @@ def elements(draw, n):
         return monomial_elem(n, i, j, draw(st.integers(0, 3)), coeff)
     if kind == "zero":
         return zero(n)
-    return CycleElement.from_rows(
+    return from_rows(
         tuple(tuple(draw(POLYS) for _ in range(n)) for _ in range(n))
     )
 
@@ -502,10 +541,10 @@ def operand_pairs(draw):
     a = draw(elements(n))
     if draw(st.booleans()):
         # b cancels a on some entries, so sums trim down to nothing there
-        b = CycleElement.from_rows(
+        b = from_rows(
             tuple(
                 tuple(-p if draw(st.booleans()) else draw(POLYS) for p in row)
-                for row in a.entries
+                for row in entries(a)
             ),
         )
     else:
@@ -547,7 +586,7 @@ def test_every_operation_keeps_the_canonical_array(pair, c):
     a, b = pair
     results = [a + b, a - b, -a, a * c, c * a, (a + b) - a]
     results.append(element_from_json(json.loads(json.dumps(a.to_json()))))
-    results.append(parse_realized(a.realize(), a.n))
+    results.append(parse_realized(a.realized_coeffs(), a.n))
     results.append(mul_elem(a, b))
     for r in results:
         assert_canonical(r)
@@ -585,9 +624,7 @@ def test_random_element_matches_entrywise_draw(n, deg, scale, normalize, seed):
         top = max(float(np.sum(np.abs(c))) for row in grid for c in row)
         if top > 0:
             grid = [[c * (1.0 / top) for c in row] for row in grid]
-    want = CycleElement.from_rows(
-        tuple(tuple(Poly(c) for c in row) for row in grid)
-    )
+    want = from_rows(tuple(tuple(Poly(c) for c in row) for row in grid))
     assert bits(got) == bits(want)
 
 
@@ -598,7 +635,7 @@ def legacy_element_from_json(data):
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed element JSON: {exc}") from exc
-    return CycleElement.from_rows(rows, data["n"])
+    return from_rows(rows, data["n"])
 
 
 def outcome(read, data):

@@ -14,7 +14,6 @@ from cyclealg.poly import (
     complex_from_json,
     eval_at_unit_roots,
     interpolate_roots_of_unity,
-    poly_from_json,
 )
 
 
@@ -220,13 +219,6 @@ def test_scalar_arithmetic():
     for bad in (lambda: p + 1, lambda: 1 + p, lambda: p - 1, lambda: 1 - p):
         with pytest.raises(TypeError):
             bad()
-
-
-def test_json_round_trip():
-    rng = np.random.default_rng(20)
-    p = random_poly(rng, deg=5)
-    assert poly_from_json([[z.real, z.imag] for z in p.coeffs]) == p
-    assert poly_from_json([]).is_zero
 
 
 def test_complex_from_json():
