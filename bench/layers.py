@@ -1,7 +1,7 @@
 """Per-layer timings of the point-derivation path, one column per checkout.
 
     python bench/layers.py --column parent=../parent/src --column change=src \
-        --out BENCH_18.json
+        --out BENCH_19.json
 
 Each ``--column LABEL=SRC`` imports ``cyclealg`` from the directory SRC in
 a fresh interpreter (BLAS pinned to one thread) and times, at n = 1, 2, 4
@@ -51,20 +51,23 @@ and 6 on fixed seeded inputs:
   library signature behind it,
 - on the data of a ``reconstruct --deg-max 12`` request,
   ``GlobalDerivation.from_commutator(random_element(n, deg=8))`` at n = 2,
-  4, 6 and 8 instead: ``solve_boundary_field`` on its default grid (56 n
-  points), ``verify_global_inner`` of the reconstructed witness,
-  ``algebra.norm`` of the first arrow value and of the zero element on the
-  default grid, the ``reconstruct --deg-max 12`` command on the data
-  through ``cli.main`` (report written to the null device), and
+  4, 6 and 8 instead: ``solve_boundary_field`` on the grid the checkout
+  uses for that request (``deg_max=12`` in a checkout whose signature
+  takes it, 56 n points; the default otherwise, n (d + 1) = 10 n points for
+  this data's top w-degree d = 9), ``verify_global_inner`` of the
+  reconstructed witness, ``algebra.norm`` of the first arrow value and of
+  the zero element on the default 512-point norm grid, the ``reconstruct
+  --deg-max 12`` command on the data through ``cli.main`` (report written
+  to the null device), and
   ``inner_solve`` of the data localized at lambda = exp(0.7i); on the same
   data, ``element_from_json`` of the first arrow value and
   ``global_derivation_from_json`` of the whole derivation (both from parsed
   JSON), ``CycleElement.__add__`` of the first vertex and arrow values,
   ``mul_elem`` of the witness by the first arrow generator,
-  ``eval_rep_at_unit_roots`` of the first arrow value on the default grid,
+  ``eval_rep_at_unit_roots`` of the first arrow value on 56 n points,
   ``Poly.__mul__`` of two seeded polynomials of degree 4 n,
   ``reconstruct_witness`` of the solved boundary field, and
-  ``parse_realized`` of the witness realized at the grid length m, the
+  ``parse_realized`` of the witness realized at its grid length m, the
   shape ``reconstruct_witness`` hands it (in a checkout whose
   ``parse_realized`` reads a grid of ``Poly`` entries, the one that has
   ``CycleElement.realize``, the array is handed over as that grid, built
@@ -82,6 +85,7 @@ timed.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -216,10 +220,14 @@ def measure(src: str) -> dict:
         out.setdefault("inner_solve(interior)", {})[size] = time_cell
         out.setdefault("inner_solve(interior) peak MB", {})[size] = peak_cell
     lam = complex(np.exp(0.7j))
+    # the boundary grid of a reconstruct --deg-max 12 request: a checkout
+    # whose solve still takes the cap sizes its default grid by it
+    takes_cap = "deg_max" in inspect.signature(solve_boundary_field).parameters
+    solve_kw = {"deg_max": 12} if takes_cap else {}
     for n in RECONSTRUCT_SIZES:
         rng = np.random.default_rng(700 + n)
         D = GlobalDerivation.from_commutator(random_element(n, rng, deg=8))
-        field = solve_boundary_field(D, deg_max=12)
+        field = solve_boundary_field(D, **solve_kw)
         witness = reconstruct_witness(field, deg_max=12)
         realized = witness.realized_coeffs(field.m)
         if hasattr(CycleElement, "realize"):
@@ -230,7 +238,7 @@ def measure(src: str) -> dict:
         p, q = (Poly(rng.normal(size=4 * n + 1)) for _ in range(2))
         cases = {
             "solve_boundary_field": lambda: solve_boundary_field(
-                D, deg_max=12
+                D, **solve_kw
             ),
             "verify_global_inner": lambda: verify_global_inner(D, witness),
             "norm": lambda: norm(D.values_Z[0]),

@@ -192,9 +192,7 @@ def _cmd_reconstruct(args) -> tuple[int, dict]:
     D = global_derivation_from_json(doc)
     _check_n(args, D.n)
     try:
-        field = solve_boundary_field(
-            D, m=args.grid, deg_max=args.deg_max, tol=args.tol_inner
-        )
+        field = solve_boundary_field(D, m=args.grid, tol=args.tol_inner)
     except NotLocallyInner as exc:
         return 1, {
             "verdict": "not_locally_inner",

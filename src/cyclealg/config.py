@@ -10,8 +10,8 @@ behaviour when a caller does not say otherwise.
 EPS_COEFF = 1e-9
 
 # Default cap on the base-variable degree of a reconstructed witness
-# (reconstruct --deg-max) and the degree behind the default boundary grid.
-# Exceeding it raises DegreeOverflow; products are exact at every degree.
+# (reconstruct --deg-max).  Exceeding it raises DegreeOverflow; products are
+# exact at every degree, and the boundary grid is sized by the data.
 DEG_MAX = 64
 
 # Residual threshold deciding whether a linear system for an inner witness

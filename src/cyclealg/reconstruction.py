@@ -218,16 +218,18 @@ def boundary_field_from_json(data: dict) -> BoundaryField:
 def solve_boundary_field(
     D: GlobalDerivation,
     m: int | None = None,
-    deg_max: int | None = None,
     tol: float | None = None,
 ) -> BoundaryField:
     """Solve for an inner witness at every point of a boundary grid.
 
-    The grid has m points, default 4 * n * (cap + 2) where cap is the
-    configured degree limit; that oversamples every entry degree the
-    reconstruction can produce.  Grids below n * (D.value_degree + 1)
-    points, one more than the data's top z-degree, alias the data (and no
-    witness z-degree exceeds the data's): they raise GridTooSmall.
+    The grid has m points, default n * (d + 1) for the data's top w-degree
+    d (n for the zero derivation): one more than the data's top z-degree.
+    No witness z-degree exceeds the data's (off-diagonal entries are read
+    off D(e_k), the diagonal telescopes the arrow readings), so the
+    interpolation in ``reconstruct_witness`` is exact on it, and a nonzero
+    local obstruction, a polynomial in lambda of degree below m, cannot
+    vanish at all m points.  Smaller grids alias the data: they raise
+    GridTooSmall.
 
     On |lambda| = 1 the arrow equations lambda (P X - X P) = b have the
     least-squares rows of P X - X P = b / lambda, so the grid is one
@@ -236,13 +238,13 @@ def solve_boundary_field(
     """
     tol = config.TOL_INNER if tol is None else tol
     n = D.n
-    cap = config.DEG_MAX if deg_max is None else deg_max
+    d = D.value_degree
     if m is None:
-        m = 4 * n * (cap + 2)
+        m = n * (max(d, 0) + 1)
     if m < 1:
         raise ValueError("grid size must be >= 1")
-    if n * (D.value_degree + 1) > m:
-        raise GridTooSmall(m, n * (D.value_degree + 1))
+    if n * (d + 1) > m:
+        raise GridTooSmall(m, n * (d + 1))
     roots = np.exp(2j * np.pi * np.arange(m) / m)
     loc_Z = [eval_rep_at_unit_roots(v, m) for v in D.values_Z]
     for loc in loc_Z:

@@ -456,9 +456,7 @@ def _check_reconstruction(cfg: SuiteConfig):
         for n in (1, 2, 3, 4):
             X0 = random_element(n, rng, deg=4)
             D = GlobalDerivation.from_commutator(X0)
-            field = solve_boundary_field(
-                D, deg_max=6, tol=cfg.tol_inner
-            )
+            field = solve_boundary_field(D, tol=cfg.tol_inner)
             X = reconstruct_witness(field, deg_max=cfg.deg_max)
             rep = verify_global_inner(D, X, norm_grid=cfg.grid)
             worst = max(worst, rep.max_residual)
@@ -479,7 +477,7 @@ def _check_reconstruction(cfg: SuiteConfig):
 def _check_reconstruction_rejects(cfg: SuiteConfig):
     bad = GlobalDerivation(1, (zero(1),), (gen_Z(1, 1),))
     try:
-        solve_boundary_field(bad, deg_max=2, tol=cfg.tol_inner)
+        solve_boundary_field(bad, tol=cfg.tol_inner)
     except NotLocallyInner:
         return 0.0, 0.5, "<=", "non-derivation data rejected fast"
     return 1.0, 0.5, "<=", "non-derivation data slipped through"

@@ -4,7 +4,7 @@ The library keeps an element as one (n, n, L) coefficient array and never
 builds a ``Poly`` per entry.  The oracles of the tests do: they redo element
 arithmetic entry by entry on ``Poly`` objects and compare the bits.  These
 helpers read an element as its n x n grid of ``Poly`` entries and build one
-back from such a grid.
+back from such a grid; ``raw_gap`` compares elements to rounding.
 """
 
 from __future__ import annotations
@@ -48,3 +48,17 @@ def from_rows(rows, n: int | None = None) -> CycleElement:
 def poly_from_json(data) -> Poly:
     """A Poly read from a JSON list of [re, im] pairs, pair by pair."""
     return Poly([complex_from_json(re, im, "coefficient") for re, im in data])
+
+
+def raw_gap(lhs: CycleElement, *rhs: CycleElement) -> float:
+    """Largest coefficient modulus of lhs - sum(rhs), taken on the raw
+    coefficient arrays zero-padded to one length: a difference of elements
+    would trim every gap below EPS_COEFF and read exactly zero."""
+    gap = np.zeros(
+        (lhs.n, lhs.n, max(t.coeffs.shape[2] for t in (lhs, *rhs))),
+        dtype=complex,
+    )
+    gap[..., : lhs.coeffs.shape[2]] += lhs.coeffs
+    for t in rhs:
+        gap[..., : t.coeffs.shape[2]] -= t.coeffs
+    return float(np.max(np.abs(gap), initial=0.0))

@@ -284,7 +284,7 @@ def test_criterion_6_reconstruction_round_trip():
         n = (t % 6) + 1
         X0 = random_element(n, rng, deg=8)
         D = GlobalDerivation.from_commutator(X0)
-        field = solve_boundary_field(D, deg_max=12)
+        field = solve_boundary_field(D)
         witness = reconstruct_witness(field, deg_max=12)
         report = verify_global_inner(D, witness)
         worst = max(worst, report.max_residual)

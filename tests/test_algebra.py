@@ -32,7 +32,7 @@ from cyclealg.config import EPS_COEFF
 from cyclealg.derivations import canonical_kernel_elements
 from cyclealg.poly import Poly, _trim
 
-from oracles import entries, from_rows, poly_from_json, realize
+from oracles import entries, from_rows, poly_from_json, raw_gap, realize
 
 
 def realized_product(a: CycleElement, b: CycleElement) -> np.ndarray:
@@ -137,17 +137,46 @@ def test_product_matches_realized_convolution():
             )
 
 
+def rounding_bound(n: int, deg: int, *norms: float) -> float:
+    """Rounding bound on a coefficient of a product of len(norms) factors
+    of w-degree at most deg and norm_l1 at most norms.
+
+    Each coefficient sums products of one coefficient per factor whose
+    moduli add up to at most n**(k - 1) times the product of the k norms,
+    along a chain of at most K = 4 n (deg + 1) + 8 roundings (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, ch. 3); a gap
+    between two such sums is at most twice that."""
+    K = 4 * n * (deg + 1) + 8
+    return 2 * K * np.finfo(float).eps * n ** (len(norms) - 1) * math.prod(
+        norms
+    )
+
+
 def test_ring_axioms_random():
     rng = np.random.default_rng(22)
+    deg = 3
     for n in (1, 3):
+        one = identity(n)
         for _ in range(8):
-            a, b, c = (random_element(n, rng, deg=3) for _ in range(3))
+            a, b, c = (random_element(n, rng, deg=deg) for _ in range(3))
             assert mul_elem(mul_elem(a, b), c) == mul_elem(a, mul_elem(b, c))
             assert mul_elem(a, b + c) == mul_elem(a, b) + mul_elem(a, c)
             assert mul_elem(a + b, c) == mul_elem(a, c) + mul_elem(b, c)
-            assert mul_elem(a, identity(n)) == a
-            assert mul_elem(identity(n), a) == a
+            assert mul_elem(a, one) == a
+            assert mul_elem(one, a) == a
             assert a - a == zero(n)
+            # the same axioms to rounding, on raw coefficient arrays
+            bound = rounding_bound(n, deg, a.norm_l1, b.norm_l1 + c.norm_l1)
+            assert raw_gap(
+                mul_elem(a, b + c), mul_elem(a, b), mul_elem(a, c)
+            ) <= bound
+            bound = rounding_bound(n, deg, a.norm_l1 + b.norm_l1, c.norm_l1)
+            assert raw_gap(
+                mul_elem(a + b, c), mul_elem(a, c), mul_elem(b, c)
+            ) <= bound
+            bound = rounding_bound(n, deg, a.norm_l1, one.norm_l1)
+            assert raw_gap(mul_elem(a, one), a) <= bound
+            assert raw_gap(mul_elem(one, a), a) <= bound
 
 
 @st.composite
@@ -165,22 +194,9 @@ def factors(draw, n, deg):
 @settings(max_examples=150, deadline=None)
 @given(st.data(), st.integers(1, 6), st.integers(0, 8))
 def test_mul_elem_is_associative_to_rounding(data, n, deg):
-    # taken on the raw coefficient arrays: a difference of elements would
-    # trim every gap below EPS_COEFF and read exactly zero.  Each coefficient
-    # of either side sums products of three coefficients whose moduli add up
-    # to at most n**2 |a| |b| |c| (|.| = norm_l1), along a chain of at most
-    # K = 4 n (deg + 1) + 8 roundings (Higham, Accuracy and Stability of
-    # Numerical Algorithms, 2002, ch. 3)
     a, b, c = (data.draw(factors(n, deg)) for _ in range(3))
-    lhs = mul_elem(mul_elem(a, b), c).coeffs
-    rhs = mul_elem(a, mul_elem(b, c)).coeffs
-    gap = np.zeros((n, n, max(lhs.shape[2], rhs.shape[2])), dtype=complex)
-    gap[..., : lhs.shape[2]] += lhs
-    gap[..., : rhs.shape[2]] -= rhs
-    K = 4 * n * (deg + 1) + 8
-    scale = n**2 * a.norm_l1 * b.norm_l1 * c.norm_l1
-    eps = np.finfo(float).eps
-    assert np.max(np.abs(gap), initial=0.0) <= 2 * K * eps * scale
+    gap = raw_gap(mul_elem(mul_elem(a, b), c), mul_elem(a, mul_elem(b, c)))
+    assert gap <= rounding_bound(n, deg, a.norm_l1, b.norm_l1, c.norm_l1)
 
 
 def test_operator_syntax():

@@ -334,6 +334,23 @@ def test_reconstruct_grid_too_small_is_input_error(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "inner"
 
 
+def test_reconstruct_degree_over_cap_is_degree_overflow(tmp_path, capsys):
+    # the default grid follows the data, so data of degree 13 over n = 2
+    # with --deg-max 1 is solved on 28 points and refused for its witness
+    # degree, not for a grid the caller never chose
+    rng = np.random.default_rng(1)
+    D = GlobalDerivation.from_commutator(random_element(2, rng, deg=12))
+    assert D.value_degree > 4 * 1 + 7
+    path = write(tmp_path, "in.json", D.to_json())
+    code, out, err = run(
+        capsys, ["reconstruct", "--input", path, "--deg-max", "1"]
+    )
+    assert code == 2
+    assert out == ""
+    assert "DegreeOverflow" in json.loads(err)["error"]
+    assert "GridTooSmall" not in err
+
+
 def test_reconstruct_verifies_long_residual_on_resolving_grid(
     tmp_path, capsys, monkeypatch
 ):
@@ -360,7 +377,7 @@ def test_reconstruct_verifies_long_residual_on_resolving_grid(
 
 def test_reconstruct_from_field_payload(tmp_path, capsys):
     D = GlobalDerivation.from_commutator(gen_Z(2, 1))
-    field = solve_boundary_field(D, m=16, deg_max=4)
+    field = solve_boundary_field(D, m=16)
     path = write(tmp_path, "field.json", field.to_json())
     code, out, _ = run(capsys, ["reconstruct", "--input", path])
     assert code == 0
@@ -389,7 +406,7 @@ def test_reconstruct_verifies_generator_equations(tmp_path, capsys):
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
 def test_reconstruct_field_rejects_non_finite_residual(tmp_path, capsys, bad):
     D = GlobalDerivation.from_commutator(gen_Z(2, 1))
-    text = json.dumps(solve_boundary_field(D, m=16, deg_max=4).to_json())
+    text = json.dumps(solve_boundary_field(D, m=16).to_json())
     doc = json.loads(text)
     doc["max_residual"] = float(bad.replace("Infinity", "inf"))
     path = tmp_path / "field.json"
@@ -407,7 +424,7 @@ def test_reconstruct_field_rejects_non_finite_residual(tmp_path, capsys, bad):
 )
 def test_reconstruct_field_reads_max_residual_strictly(tmp_path, capsys, bad):
     D = GlobalDerivation.from_commutator(gen_Z(2, 1))
-    doc = solve_boundary_field(D, m=16, deg_max=4).to_json()
+    doc = solve_boundary_field(D, m=16).to_json()
     doc["max_residual"] = bad
     path = write(tmp_path, "field.json", doc)
     code, out, err = run(capsys, ["reconstruct", "--input", path])
@@ -418,7 +435,7 @@ def test_reconstruct_field_reads_max_residual_strictly(tmp_path, capsys, bad):
 
 def test_reconstruct_corrupted_field_names_entry(tmp_path, capsys):
     D = GlobalDerivation.from_commutator(gen_Z(2, 1))
-    field = solve_boundary_field(D, m=16, deg_max=4)
+    field = solve_boundary_field(D, m=16)
     doc = field.to_json()
     bumped = np.array(doc["X_at"][3], dtype=float)
     bumped[0] += 0.37
@@ -434,7 +451,7 @@ def _arrow_commutator():
 
 
 def _field_doc():
-    return solve_boundary_field(_arrow_commutator(), m=16, deg_max=4).to_json()
+    return solve_boundary_field(_arrow_commutator(), m=16).to_json()
 
 
 @pytest.mark.parametrize(

@@ -37,17 +37,17 @@ from cyclealg.reconstruction import (
 )
 from cyclealg.representations import Lambda, eval_rep
 
-from oracles import entries
+from oracles import entries, raw_gap
 
 
 def commutator(a, X):
     return mul_elem(a, X) - mul_elem(X, a)
 
 
-def run_pipeline(X0, m=None, deg_max=None):
+def run_pipeline(X0):
     D = GlobalDerivation.from_commutator(X0)
-    field = solve_boundary_field(D, m=m, deg_max=deg_max)
-    witness = reconstruct_witness(field, deg_max=deg_max)
+    field = solve_boundary_field(D)
+    witness = reconstruct_witness(field)
     return D, field, witness
 
 
@@ -171,14 +171,14 @@ def test_rejects_non_derivation_data():
     # D(Z) = 1 over n = 1 admits no commutator witness anywhere
     bad = GlobalDerivation(1, (zero(1),), (identity(1),))
     with pytest.raises(NotLocallyInner) as info:
-        solve_boundary_field(bad, m=16, deg_max=8)
+        solve_boundary_field(bad, m=16)
     assert info.value.residual > 1e-3
 
 
 def test_degree_cap_honored():
     X0 = monomial_elem(2, 1, 2, 3)  # witness entries of w-degree 3
     D = GlobalDerivation.from_commutator(X0)
-    field = solve_boundary_field(D, deg_max=8)
+    field = solve_boundary_field(D)
     with pytest.raises(DegreeOverflow):
         reconstruct_witness(field, deg_max=1)
     witness = reconstruct_witness(field, deg_max=8)
@@ -193,15 +193,72 @@ def test_undersampled_grid_fails_honestly():
     D = GlobalDerivation.from_commutator(X0)
     needed = 2 * (D.value_degree + 1)
     with pytest.raises(GridTooSmall) as info:
-        solve_boundary_field(D, m=4, deg_max=12)
+        solve_boundary_field(D, m=4)
     assert info.value.needed == needed
     assert f"{needed} points" in str(info.value)
     # the smallest grid the message names is enough for the whole pipeline
-    field = solve_boundary_field(D, m=needed, deg_max=12)
+    field = solve_boundary_field(D, m=needed)
     witness = reconstruct_witness(field, deg_max=12)
     assert verify_global_inner(D, witness).ok
     with pytest.raises(GridTooSmall):
-        solve_boundary_field(D, m=needed - 1, deg_max=12)
+        solve_boundary_field(D, m=needed - 1)
+
+
+def test_default_grid_is_sized_by_the_data():
+    # the default grid is the smallest one the GridTooSmall rule admits:
+    # one point more than the data's top z-degree, n for the zero derivation
+    rng = np.random.default_rng(77)
+    for n in range(1, 9):
+        for deg in (0, 3, 9):
+            D = GlobalDerivation.from_commutator(
+                random_element(n, rng, deg=deg)
+            )
+            field = solve_boundary_field(D)
+            if D.value_degree >= 0:
+                assert field.m == n * (D.value_degree + 1)
+            else:
+                assert field.m == n
+        field = solve_boundary_field(GlobalDerivation.from_commutator(zero(n)))
+        assert field.m == n
+        assert reconstruct_witness(field).is_zero
+
+
+def test_data_sized_grid_matches_an_oversampled_grid():
+    # the witness z-degree never exceeds the data's, so interpolation on the
+    # default grid is exact: it gives the witness of a grid of 4 n (64 + 2)
+    # points to rounding, and both verify
+    rng = np.random.default_rng(78)
+    for n in range(1, 9):
+        for deg in (0, 4, 10):
+            D = GlobalDerivation.from_commutator(
+                random_element(n, rng, deg=deg)
+            )
+            small = reconstruct_witness(solve_boundary_field(D))
+            large = reconstruct_witness(
+                solve_boundary_field(D, m=4 * n * 66)
+            )
+            assert raw_gap(small, large) <= 1e-12, (n, deg)
+            assert verify_global_inner(D, small).ok
+
+
+def test_off_form_data_rejected_alike_on_both_grids():
+    # a shifted constant in D(e_1)[1, 1] is off form at lambda = 1, the
+    # first point of every grid: the default grid rejects there with the
+    # residual an oversampled grid reports
+    rng = np.random.default_rng(79)
+    for n in range(1, 9):
+        good = GlobalDerivation.from_commutator(random_element(n, rng, deg=8))
+        shift = complex(*rng.normal(size=2))
+        off = good.values_e[0] + monomial_elem(n, 1, 1, 0, shift)
+        D = GlobalDerivation(n, (off, *good.values_e[1:]), good.values_Z)
+        outcomes = []
+        for m in (None, 4 * n * 66):
+            with pytest.raises(NotLocallyInner) as info:
+                solve_boundary_field(D, m=m)
+            outcomes.append((info.value.lam, info.value.residual))
+        (lam_small, res_small), (lam_large, res_large) = outcomes
+        assert lam_small == lam_large == 1.0
+        assert res_small == pytest.approx(res_large, rel=1e-12, abs=0.0)
 
 
 def test_batched_field_matches_pointwise_inner_solve():
@@ -211,7 +268,7 @@ def test_batched_field_matches_pointwise_inner_solve():
     for n in (1, 2, 3, 4):
         D = GlobalDerivation.from_commutator(random_element(n, rng, deg=4))
         m = 8 * n
-        field = solve_boundary_field(D, m=m, deg_max=8)
+        field = solve_boundary_field(D, m=m)
         for t in range(m):
             point = localize(D, np.exp(2j * np.pi * t / m))
             np.testing.assert_allclose(
@@ -240,7 +297,7 @@ def test_rejecting_point_is_first_pointwise_failure():
         )
         assert first == 3
         with pytest.raises(NotLocallyInner) as info:
-            solve_boundary_field(D, m=m, deg_max=8)
+            solve_boundary_field(D, m=m)
         assert abs(info.value.lam - roots[first]) <= 1e-15
 
 
@@ -251,7 +308,7 @@ def full_spectral_norms(stack, floor=np.inf):
 
 def _solve_outcome(D, m, tol):
     try:
-        field = solve_boundary_field(D, m=m, deg_max=8, tol=tol)
+        field = solve_boundary_field(D, m=m, tol=tol)
     except NotLocallyInner as exc:
         return "rejected", exc.lam, exc.residual
     return "solved", field.max_residual, field.X_at.tobytes()
@@ -290,14 +347,14 @@ def test_solve_outcome_matches_full_per_point_residuals(monkeypatch):
 
 def test_field_normalization_and_shape():
     D = GlobalDerivation.from_commutator(gen_Z(3, 2))
-    field = solve_boundary_field(D, m=24, deg_max=4)
+    field = solve_boundary_field(D, m=24)
     assert field.X_at.shape == (24, 3, 3)
     assert np.allclose(field.X_at[:, 0, 0], 0.0)
 
 
 def test_reconstruct_rejects_corrupted_field():
     D = GlobalDerivation.from_commutator(gen_Z(2, 1))
-    field = solve_boundary_field(D, m=16, deg_max=4)
+    field = solve_boundary_field(D, m=16)
     X_at = field.X_at.copy()
     X_at[3, 0, 0] += 0.37  # breaks the gauge and the diagonal ladder
     broken = BoundaryField(field.n, field.m, X_at, field.max_residual)
@@ -369,25 +426,24 @@ def test_verify_needs_no_grid_for_zero_residuals():
 def test_boundary_solve_memory_stays_chunked():
     # The residual is taken one generator at a time over all m points, so
     # the traced peak of the whole solve, in units of one (m, n, n) value
-    # stack, reads 20.3 at n = 8: the 2n value stacks, the witness stack,
-    # and one generator's bracket, residual and norm temporaries.  Forming
-    # the residuals of all 2n generators at once would add at least 2n
-    # stacks; a bound of 30 catches that before it shows in a process's
-    # peak memory.
+    # stack of the grid it solves on, reads about 20 at n = 8: the 2n value
+    # stacks, the witness stack, and one generator's bracket, residual and
+    # norm temporaries.  Forming the residuals of all 2n generators at once
+    # would add at least 2n stacks; a bound of 30 catches that before it
+    # shows in a process's peak memory.
     import tracemalloc
 
-    n, deg_max = 8, 12
+    n = 8
     rng = np.random.default_rng(76)
     D = GlobalDerivation.from_commutator(random_element(n, rng, deg=8))
-    m = 4 * n * (deg_max + 2)
-    solve_boundary_field(D, deg_max=deg_max)  # warm every lazy cache
+    solve_boundary_field(D)  # warm every lazy cache
     tracemalloc.start()
     try:
-        solve_boundary_field(D, deg_max=deg_max)
+        field = solve_boundary_field(D)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    units = peak / (m * n * n * 16)
+    units = peak / (field.m * n * n * 16)
     assert units < 30, units
 
 
@@ -410,7 +466,7 @@ def test_global_derivation_json_round_trip():
 
 def test_boundary_field_json_round_trip():
     D = GlobalDerivation.from_commutator(gen_Z(2, 1))
-    field = solve_boundary_field(D, m=12, deg_max=4)
+    field = solve_boundary_field(D, m=12)
     back = boundary_field_from_json(field.to_json())
     assert back.n == field.n and back.m == field.m
     assert np.allclose(back.X_at, field.X_at)
