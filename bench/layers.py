@@ -11,20 +11,15 @@ and 6 on fixed seeded inputs:
   product of two degree-6 elements (the element ``check_leibniz`` feeds
   them),
 - ``check_leibniz`` with 40 trials on commutator data, and
-  ``relation_residual`` on the same data (``null`` in a column whose
-  checkout lacks it),
+  ``relation_residual`` on the same data,
 - ``gen_derivation_from_json`` of that data (from parsed JSON), and the
   ``inner-check`` command through ``cli.main`` on it (report written to
   the null device),
 - ``cli._build_parser().parse_args`` on an ``inner-check`` command line
-  (one cell, keyed ``any``: it does not depend on n); in a checkout whose
-  ``_build_parser`` is built once per process (``functools.cache``) the
-  cell times the parse alone, where it used to include building the parser,
-- the report encoder on that ``inner-check`` report and on the
-  ``reconstruct`` reports below (read back from the report file):
-  ``cli._dumps`` in a checkout that has it, else the
-  ``json.dumps(report, sort_keys=True, indent=2, allow_nan=False)`` call
-  it replaced,
+  (one cell, keyed ``any``: it does not depend on n; the parser is built
+  once per process, so the cell times the parse alone),
+- the report encoder ``cli._dumps`` on that ``inner-check`` report and on
+  the ``reconstruct`` reports below (read back from the report file),
 - the ``semisimple`` command through ``cli.main`` on ``zero(1)`` (report
   written to the null device), the fixed cost of one request (keyed
   ``n1``),
@@ -35,26 +30,19 @@ and 6 on fixed seeded inputs:
 - ``kernel_square_witness`` with budget 2 on a degree-2 kernel sample at
   ``DiagZero(1)``, at n = 2, 3, 4 and 6 instead,
 - ``inner_solve`` of seeded random 1 x 1 data at ``DiagZero(1)``, at n = 1,
-  3 and 6 instead (``null`` in a column whose checkout refuses that
-  point),
+  3 and 6 instead,
 - ``inner_solve`` of commutator data at the same interior Lambda point at
   n = 16, 32 and 64 instead, with its tracemalloc peak in MB (10^6 bytes)
-  as the cell ``inner_solve(interior) peak MB``.  A checkout that still
-  solves on the dense 2n n^2 x n^2 commutator matrix (it has
-  ``derivations._commutator_blocks``) needs about 1 GB per temporary at
-  n = 32 and 34 GB at n = 64, so its column reads ``null`` at n >= 32 and
-  is never run there,
+  as the cell ``inner_solve(interior) peak MB``,
 - the ``approx-identity`` command through ``cli.main`` (report written to
   the null device) at lambda = exp(0.7i), k = 1, 2, 4, ..., 4096, on the
   default grid and the canonical kernel elements, at n = 1, 2 and 3
-  instead; the command line is the same in every checkout, whatever the
-  library signature behind it,
+  instead,
 - on the data of a ``reconstruct --deg-max 12`` request,
   ``GlobalDerivation.from_commutator(random_element(n, deg=8))`` at n = 2,
-  4, 6 and 8 instead: ``solve_boundary_field`` on the grid the checkout
-  uses for that request (``deg_max=12`` in a checkout whose signature
-  takes it, 56 n points; the default otherwise, n (d + 1) = 10 n points for
-  this data's top w-degree d = 9), ``verify_global_inner`` of the
+  4, 6 and 8 instead: ``solve_boundary_field`` on its default grid,
+  n (d + 1) = 10 n points for this data's top w-degree d = 9,
+  ``verify_global_inner`` of the
   reconstructed witness, ``algebra.norm`` of the first arrow value and of
   the zero element on the default 512-point norm grid, the ``reconstruct
   --deg-max 12`` command on the data through ``cli.main`` (report written
@@ -68,10 +56,7 @@ and 6 on fixed seeded inputs:
   ``Poly.__mul__`` of two seeded polynomials of degree 4 n,
   ``reconstruct_witness`` of the solved boundary field, and
   ``parse_realized`` of the witness realized at its grid length m, the
-  shape ``reconstruct_witness`` hands it (in a checkout whose
-  ``parse_realized`` reads a grid of ``Poly`` entries, the one that has
-  ``CycleElement.realize``, the array is handed over as that grid, built
-  outside the timed call).
+  shape ``reconstruct_witness`` hands it.
 
 Within one interpreter a timing is the median over 7 repeats of the
 per-call time; each repeat runs as many calls as ``timeit`` needs to last at
@@ -85,7 +70,6 @@ timed.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -117,12 +101,12 @@ def measure(src: str) -> dict:
 
     import numpy as np
 
-    from cyclealg import cli, derivations
-    from cyclealg.algebra import CycleElement, element_from_json, gen_Z
-    from cyclealg.algebra import mul_elem, norm, parse_realized
-    from cyclealg.algebra import random_element, zero
+    from cyclealg import cli
+    from cyclealg.algebra import element_from_json, gen_Z, mul_elem, norm
+    from cyclealg.algebra import parse_realized, random_element, zero
     from cyclealg.derivations import GenDerivation, check_leibniz, inner_solve
     from cyclealg.derivations import gen_derivation_from_json
+    from cyclealg.derivations import relation_residual
     from cyclealg.poly import Poly
     from cyclealg.reconstruction import (
         GlobalDerivation,
@@ -148,13 +132,7 @@ def measure(src: str) -> dict:
         runs = timer.repeat(repeat=REPEATS, number=number)
         return statistics.median(runs) / number
 
-    relation_residual = getattr(derivations, "relation_residual", None)
-    encode = getattr(cli, "_dumps", None) or (
-        lambda report: json.dumps(
-            report, sort_keys=True, indent=2, allow_nan=False
-        )
-    )
-    out: dict[str, dict[str, float | None]] = {}
+    out: dict[str, dict[str, float]] = {}
     point = Lambda(POINT)
     for n in SIZES:
         rng = np.random.default_rng(500 + n)
@@ -178,14 +156,10 @@ def measure(src: str) -> dict:
             "kernel_sample(count=20)": lambda: kernel_sample(
                 point, n, seed=1, count=20
             ),
+            "relation_residual": lambda: relation_residual(D),
         }
         for name, fn in cases.items():
             out.setdefault(name, {})[f"n{n}"] = median_call(fn)
-        out.setdefault("relation_residual", {})[f"n{n}"] = (
-            None
-            if relation_residual is None
-            else median_call(lambda: relation_residual(D))
-        )
     for n in KERNEL_SIZES:
         k = kernel_sample(DiagZero(1), n, seed=600 + n, count=1, deg=2)[0]
         out.setdefault("kernel_square_witness", {})[f"n{n}"] = median_call(
@@ -195,51 +169,38 @@ def measure(src: str) -> dict:
         rng = np.random.default_rng(650 + n)
         values = rng.normal(size=(2, n, 1, 1, 2)) @ [1.0, 1j]
         D = GenDerivation(DiagZero(1), tuple(values[0]), tuple(values[1]))
+        out.setdefault("inner_solve(DiagZero(1))", {})[f"n{n}"] = median_call(
+            lambda: inner_solve(D)
+        )
+    for n in SCALE_SIZES:
+        rng = np.random.default_rng(680 + n)
+        X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        D = GenDerivation.from_commutator(point, X, n)
+        inner_solve(D)
+        tracemalloc.start()
         try:
             inner_solve(D)
-            cell = median_call(lambda: inner_solve(D))
-        except ValueError:  # a checkout that solves at Lambda points only
-            cell = None
-        out.setdefault("inner_solve(DiagZero(1))", {})[f"n{n}"] = cell
-    dense = hasattr(derivations, "_commutator_blocks")
-    for n in SCALE_SIZES:
-        time_cell = peak_cell = None
-        if not (dense and n >= 32):
-            rng = np.random.default_rng(680 + n)
-            X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            D = GenDerivation.from_commutator(point, X, n)
-            inner_solve(D)
-            tracemalloc.start()
-            try:
-                inner_solve(D)
-                peak_cell = tracemalloc.get_traced_memory()[1] / 1e6
-            finally:
-                tracemalloc.stop()
-            time_cell = median_call(lambda: inner_solve(D))
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
         size = f"n{n}"
-        out.setdefault("inner_solve(interior)", {})[size] = time_cell
-        out.setdefault("inner_solve(interior) peak MB", {})[size] = peak_cell
+        out.setdefault("inner_solve(interior)", {})[size] = median_call(
+            lambda: inner_solve(D)
+        )
+        out.setdefault("inner_solve(interior) peak MB", {})[size] = peak
     lam = complex(np.exp(0.7j))
-    # the boundary grid of a reconstruct --deg-max 12 request: a checkout
-    # whose solve still takes the cap sizes its default grid by it
-    takes_cap = "deg_max" in inspect.signature(solve_boundary_field).parameters
-    solve_kw = {"deg_max": 12} if takes_cap else {}
     for n in RECONSTRUCT_SIZES:
         rng = np.random.default_rng(700 + n)
         D = GlobalDerivation.from_commutator(random_element(n, rng, deg=8))
-        field = solve_boundary_field(D, **solve_kw)
+        field = solve_boundary_field(D)
         witness = reconstruct_witness(field, deg_max=12)
         realized = witness.realized_coeffs(field.m)
-        if hasattr(CycleElement, "realize"):
-            realized = tuple(tuple(Poly(c) for c in row) for row in realized)
         local = localize(D, lam)
         doc = json.loads(json.dumps(D.to_json()))
         arrow = gen_Z(n, 1)
         p, q = (Poly(rng.normal(size=4 * n + 1)) for _ in range(2))
         cases = {
-            "solve_boundary_field": lambda: solve_boundary_field(
-                D, **solve_kw
-            ),
+            "solve_boundary_field": lambda: solve_boundary_field(D),
             "verify_global_inner": lambda: verify_global_inner(D, witness),
             "norm": lambda: norm(D.values_Z[0]),
             "norm(zero)": lambda: norm(zero(n)),
@@ -285,7 +246,7 @@ def measure(src: str) -> dict:
             doc = json.loads(path.read_text(encoding="utf-8"))
             report = json.loads(report_path.read_text(encoding="utf-8"))
             cases = {
-                "encode(inner-check)": lambda: encode(report),
+                "encode(inner-check)": lambda: cli._dumps(report),
                 "gen_derivation_from_json": lambda: gen_derivation_from_json(
                     doc
                 ),
@@ -323,7 +284,7 @@ def measure(src: str) -> dict:
                 lambda: cli.main(argv)
             )
             out.setdefault("encode(reconstruct)", {})[f"n{n}"] = median_call(
-                lambda: encode(report)
+                lambda: cli._dumps(report)
             )
     return out
 
@@ -391,7 +352,7 @@ def main() -> int:
     layers = {
         name: {
             size: {
-                label: None if None in v else statistics.median(v)
+                label: statistics.median(v)
                 for label, v in row.items()
             }
             for size, row in by_n.items()

@@ -7,7 +7,7 @@ Commands
                   Leibniz gate is decided on the 3n^2 defining relations
                   (``leibniz_residual``, ``leibniz_relation``)
   reconstruct     run the boundary-field pipeline on global derivation data
-  suite           run every library invariant and summarize
+  suite           check the paper's results and summarize
   approx-identity boundary approximate identity convergence report
   semisimple      zero/nonzero certificate for an element
   kernel-witness  decompose a kernel element at a scalar point into products
@@ -226,9 +226,6 @@ def _cmd_suite(args) -> tuple[int, dict]:
     cfg = SuiteConfig(
         seed=args.seed,
         tol_inner=args.tol_inner,
-        deg_max=(
-            args.deg_max if args.deg_max is not None else config.DEG_MAX
-        ),
         grid=args.grid or config.NORM_GRID,
     )
     rows = run_suite(cfg)

@@ -238,14 +238,13 @@ def check_leibniz(
     trials: int = 200,
     seed: int = 0,
     deg: int = 6,
-    stop_above: float | None = None,
 ) -> float:
     """Max Leibniz residual of D over random normalized element pairs.
 
     Residual of a pair (a, b) is the spectral norm of
     D(ab) - D(a) phi(b) - phi(a) D(b).  Pairs are normalized so entry
     coefficient mass is at most 1, keeping the float noise floor well under
-    1e-12.  ``stop_above`` allows early exit once the bound is witnessed.
+    1e-12.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -255,8 +254,6 @@ def check_leibniz(
         ab = mul_elem(a, b)
         resid = D(ab) - D(a) @ eval_rep(point, b) - eval_rep(point, a) @ D(b)
         worst = max(worst, _spectral(resid))
-        if stop_above is not None and worst >= stop_above:
-            break
     return worst
 
 

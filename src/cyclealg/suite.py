@@ -1,32 +1,45 @@
-"""Named invariant checks, runnable as one deterministic verification suite.
+"""The paper's results on the n-cycle algebra, run as one deterministic suite.
 
-Each check exercises one family of library invariants at moderate sizes and
-returns a row with its worst observed metric and the threshold it is held
-to.  Rows are deterministic for a fixed seed and configuration.  Checks
-whose verdict depends on the inner-witness tolerance are marked tolerance
-sensitive; when such a check fails under a stricter-than-default tolerance
-the row is flagged as tolerance induced rather than treated as a library
-defect.
+Each row states one result and decides it with a routine the library
+already has, on moderate seeded inputs:
+
+- the representations are multiplicative and kill their kernel samples;
+- every commutator, and entrywise differentiation at every point, satisfies
+  the Leibniz rule on the 3n^2 defining relations (``relation_residual``);
+- commutator data is inner, with its witness recovered up to the center;
+  differentiation is inner at no point of the open disk, and at the center
+  the n arrow readings are outer directions (``inner_solve``);
+- at a scalar point every nonzero assignment breaks the relations, and the
+  kernel equals its square;
+- at a boundary point the kernel has a bounded approximate identity F_k, on
+  which differentiation grows as k n / 2 (``boundary_approx_identity``);
+- a global commutator is inner at every point, and its boundary field
+  reassembles one global witness (the reconstruction pipeline).
+
+``check_leibniz`` samples the Leibniz rule only on the independent
+implementations ``delta_X`` and ``F_point_derivation``; the ring and product
+invariants of the library itself are left to the unit tests.
+
+A row reports its worst observed metric and the threshold it is held to.
+Rows are deterministic for a fixed seed and configuration.  Rows whose
+verdict depends on the inner-witness tolerance are marked tolerance
+sensitive; when such a row fails under a stricter-than-default tolerance it
+is flagged as tolerance induced rather than treated as a library defect.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
 from .algebra import (
-    CycleElement,
-    gen_e,
     gen_Z,
     generators,
     identity,
     monomial_elem,
     mul_elem,
-    norm,
-    parse_realized,
     random_element,
     zero,
 )
@@ -40,11 +53,12 @@ from .derivations import (
     F_point_derivation,
     inner_solve,
     kernel_vanishing_test,
+    relation_residual,
 )
 from .errors import NotLocallyInner
-from .poly import Poly, eval_at_unit_roots, interpolate_roots_of_unity
 from .reconstruction import (
     GlobalDerivation,
+    localize,
     reconstruct_witness,
     solve_boundary_field,
     verify_global_inner,
@@ -60,22 +74,18 @@ from .representations import (
 
 __all__ = ["SuiteConfig", "run_suite", "summarize"]
 
+_LADDER = (4, 16, 64, 256, 1024, 4096)
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
     seed: int = 0
     tol_inner: float = config.TOL_INNER
-    deg_max: int = config.DEG_MAX
     grid: int = config.NORM_GRID
 
 
 def _rng(cfg: SuiteConfig, salt: int) -> np.random.Generator:
     return np.random.default_rng((cfg.seed, salt))
-
-
-def _random_poly(rng, deg: int) -> Poly:
-    c = rng.uniform(-1, 1, deg + 1) + 1j * rng.uniform(-1, 1, deg + 1)
-    return Poly(c)
 
 
 def _random_points(rng, count: int) -> list[complex]:
@@ -90,71 +100,29 @@ def _random_points(rng, count: int) -> list[complex]:
     return pts[:count]
 
 
-def _raw_diff(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a - b on raw coefficient arrays, zero-padded along the last axis to
-    one length: subtracting Poly or CycleElement operands would trim
-    differences below EPS_COEFF and hide them."""
-    diff = np.zeros(a.shape[:-1] + (max(a.shape[-1], b.shape[-1]),), complex)
-    diff[..., : a.shape[-1]] += a
-    diff[..., : b.shape[-1]] -= b
-    return diff
-
-
-def _coeff_gap(p: Poly, q: Poly) -> float:
-    """Largest coefficient difference of two polynomials."""
-    diff = _raw_diff(p.coeffs, q.coeffs)
-    return float(np.max(np.abs(diff))) if len(diff) else 0.0
-
-
-def _l1_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest entry l1 norm of the difference of two coefficient arrays."""
-    return float(np.abs(_raw_diff(a, b)).sum(axis=-1).max(initial=0.0))
+def _point_kinds(rng) -> list[complex]:
+    """The center, a random interior point and a random boundary point."""
+    turns = np.exp(2j * np.pi * rng.uniform(size=2))
+    return [0j, complex(rng.uniform(0.1, 0.95) * turns[0]), complex(turns[1])]
 
 
 def _gauge(X: np.ndarray) -> np.ndarray:
     return X - X[0, 0] * np.eye(X.shape[0])
 
 
+def _derivative_data(lam: complex, n: int) -> GenDerivation:
+    """Generator values of entrywise differentiation at Lambda(lam)."""
+    es, Zs = generators(n)
+    return GenDerivation(
+        Lambda(lam),
+        tuple(F_point_derivation(lam, g) for g in es),
+        tuple(F_point_derivation(lam, g) for g in Zs),
+    )
+
+
 # ---------------------------------------------------------------------------
 # individual checks; each returns (metric, threshold, comparator, detail)
 # comparator "<=" means pass iff metric <= threshold, ">=" the reverse
-
-
-def _check_poly_ring_axioms(cfg: SuiteConfig):
-    rng = _rng(cfg, 1)
-    worst = 0.0
-    for _ in range(60):
-        p, q, r = (_random_poly(rng, int(rng.integers(0, 9))) for _ in range(3))
-        for lhs, rhs in (
-            ((p + q) + r, p + (q + r)),
-            (p * q, q * p),
-            (p * (q + r), p * q + p * r),
-            ((p * q) * r, p * (q * r)),
-        ):
-            worst = max(worst, _coeff_gap(lhs, rhs))
-    return worst, 1e-9, "<=", "assoc/comm/dist over 60 random triples"
-
-
-def _check_poly_eval_hom(cfg: SuiteConfig):
-    rng = _rng(cfg, 2)
-    worst = 0.0
-    for _ in range(100):
-        p, q = _random_poly(rng, 8), _random_poly(rng, 8)
-        x = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        worst = max(worst, abs((p * q).eval(x) - p.eval(x) * q.eval(x)))
-        worst = max(worst, abs((p + q).eval(x) - p.eval(x) - q.eval(x)))
-    return worst, 1e-10, "<=", "evaluation respects + and * at random points"
-
-
-def _check_poly_interpolation(cfg: SuiteConfig):
-    rng = _rng(cfg, 4)
-    worst = 0.0
-    for _ in range(50):
-        m = int(rng.integers(1, 40))
-        p = _random_poly(rng, int(rng.integers(0, m)))
-        back = interpolate_roots_of_unity(eval_at_unit_roots(p.coeffs, m))
-        worst = max(worst, _coeff_gap(back, p))
-    return worst, 1e-10, "<=", "roots-of-unity interpolation round trip"
 
 
 def _check_generator_relations(cfg: SuiteConfig):
@@ -183,50 +151,6 @@ def _check_generator_relations(cfg: SuiteConfig):
                 if not prod == expect:
                     worst = 1.0
     return worst, 0.5, "<=", "idempotents, arrows and the full-loop relation"
-
-
-def _check_mul_closure(cfg: SuiteConfig):
-    rng = _rng(cfg, 5)
-    worst = 0.0
-    for _ in range(40):
-        n = int(rng.choice([1, 2, 3, 4, 6]))
-        a = random_element(n, rng, deg=8)
-        b = random_element(n, rng, deg=8)
-        ra, rb = a.realized_coeffs(), b.realized_coeffs()
-        product = np.zeros((n, n, ra.shape[2] + rb.shape[2] - 1), complex)
-        for i, j, k in itertools.product(range(n), repeat=3):
-            product[i, j] += np.convolve(ra[i, k], rb[k, j])
-        ab = mul_elem(a, b)
-        worst = max(worst, _l1_gap(product, ab.realized_coeffs()))
-        parse_realized(product, n)
-    return worst, 1e-9, "<=", "stored product equals realized matrix product"
-
-
-def _check_mul_assoc(cfg: SuiteConfig):
-    rng = _rng(cfg, 6)
-    worst = 0.0
-    for _ in range(30):
-        n = int(rng.choice([1, 2, 3, 5]))
-        a, b, c = (random_element(n, rng, deg=5) for _ in range(3))
-        lhs = mul_elem(mul_elem(a, b), c)
-        rhs = mul_elem(a, mul_elem(b, c))
-        worst = max(worst, _l1_gap(lhs.coeffs, rhs.coeffs))
-    return worst, 1e-9, "<=", "associativity of the structured product"
-
-
-def _check_norm_grid(cfg: SuiteConfig):
-    rng = _rng(cfg, 7)
-    worst = abs(norm(identity(3), cfg.grid) - 1.0)
-    worst = max(worst, abs(norm(gen_Z(2, 1), cfg.grid) - 1.0))
-    for _ in range(20):
-        n = int(rng.choice([1, 2, 3]))
-        a = random_element(n, rng, deg=5)
-        b = random_element(n, rng, deg=5)
-        gap = norm(mul_elem(a, b), cfg.grid) - norm(
-            a, cfg.grid
-        ) * norm(b, cfg.grid)
-        worst = max(worst, gap)
-    return worst, 1e-9, "<=", "unit norms and grid submultiplicativity"
 
 
 def _check_rep_hom(cfg: SuiteConfig):
@@ -310,6 +234,28 @@ def _check_leibniz_F(cfg: SuiteConfig):
     return worst, 1e-10, "<=", "entrywise differentiation satisfies Leibniz"
 
 
+def _check_relations_inner(cfg: SuiteConfig):
+    rng = _rng(cfg, 18)
+    worst = 0.0
+    for n in range(1, 5):
+        X = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+        points = [Lambda(lam) for lam in _point_kinds(rng)]
+        points += [DiagZero(i) for i in range(1, n + 1)]
+        for point in points:
+            D = GenDerivation.from_commutator(point, X, n)
+            worst = max(worst, relation_residual(D)[0])
+    return worst, 1e-12, "<=", "commutators satisfy the relations everywhere"
+
+
+def _check_relations_F(cfg: SuiteConfig):
+    rng = _rng(cfg, 19)
+    worst = 0.0
+    for n in range(1, 5):
+        for lam in _point_kinds(rng):
+            worst = max(worst, relation_residual(_derivative_data(lam, n))[0])
+    return worst, 1e-12, "<=", "differentiation satisfies the relations"
+
+
 def _check_inner_recovery(cfg: SuiteConfig):
     rng = _rng(cfg, 12)
     worst = 0.0
@@ -331,13 +277,7 @@ def _check_F_non_inner(cfg: SuiteConfig):
     margin = np.inf
     for lam in (0j, 0.3 + 0j, 0.5j, -0.7 + 0j):
         for n in (1, 2, 3):
-            es, Zs = generators(n)
-            D = GenDerivation(
-                Lambda(lam),
-                tuple(F_point_derivation(lam, g) for g in es),
-                tuple(F_point_derivation(lam, g) for g in Zs),
-            )
-            res = inner_solve(D, tol=cfg.tol_inner)
+            res = inner_solve(_derivative_data(lam, n), tol=cfg.tol_inner)
             if res.consistent:
                 return 0.0, 1e-3, ">=", f"F at {lam} reported inner (n={n})"
             samples = kernel_sample(Lambda(lam), n, seed=cfg.seed, count=20)
@@ -346,6 +286,23 @@ def _check_F_non_inner(cfg: SuiteConfig):
             )
             margin = min(margin, kv.max_norm)
     return float(margin), 1e-3, ">=", "differentiation is not inner inside"
+
+
+def _check_center_arrows(cfg: SuiteConfig):
+    margin = np.inf
+    for n in range(1, 5):
+        no_values = tuple(np.zeros((n, n, n), complex))
+        for k in range(n):
+            arrows = np.zeros((n, n, n), complex)
+            arrows[k, k, (k + 1) % n] = 1.0
+            D = GenDerivation(Lambda(0), no_values, tuple(arrows))
+            if relation_residual(D)[0] > 1e-12:
+                return 0.0, 1e-3, ">=", f"arrow {k} breaks a relation (n={n})"
+            res = inner_solve(D, tol=cfg.tol_inner)
+            if res.consistent:
+                return 0.0, 1e-3, ">=", f"arrow {k} reported inner (n={n})"
+            margin = min(margin, res.residual)
+    return float(margin), 1e-3, ">=", "the center's n arrow readings are outer"
 
 
 def _check_delta_kernel_vanishing(cfg: SuiteConfig):
@@ -362,33 +319,30 @@ def _check_delta_kernel_vanishing(cfg: SuiteConfig):
     return worst, 1e-9, "<=", "inner derivations vanish on the kernel"
 
 
-def _check_diag0_rigidity(cfg: SuiteConfig):
+def _rigidity_draws(cfg: SuiteConfig) -> list[GenDerivation]:
+    """Random nonzero 1 x 1 data at DiagZero(1), 100 draws each at n = 2, 3."""
     rng = _rng(cfg, 14)
-    attempts = 0
-    failures = 0
+    draws = []
     for n in (2, 3):
-        point = DiagZero(1)
         for _ in range(100):
             ve = rng.uniform(-1, 1, (n, 1, 1)) + 1j * rng.uniform(-1, 1, (n, 1, 1))
             vz = rng.uniform(-1, 1, (n, 1, 1)) + 1j * rng.uniform(-1, 1, (n, 1, 1))
-            D = GenDerivation(point, tuple(ve), tuple(vz))
-            resid = check_leibniz(
-                D.apply, point, n, trials=200, seed=cfg.seed,
-                stop_above=1e-3,
-            )
-            attempts += 1
-            if resid >= 1e-3:
-                failures += 1
+            draws.append(GenDerivation(DiagZero(1), tuple(ve), tuple(vz)))
+    return draws
+
+
+def _check_diag0_rigidity(cfg: SuiteConfig):
     zero_vals = tuple(np.zeros((1, 1), complex) for _ in range(2))
     D0 = GenDerivation(DiagZero(1), zero_vals, zero_vals)
-    ok_zero = check_leibniz(D0.apply, DiagZero(1), 2, trials=40, seed=cfg.seed)
-    if ok_zero > 1e-12:
-        return 0.0, 0.99, ">=", "zero assignment failed Leibniz"
+    if relation_residual(D0)[0] > 0:
+        return 0.0, 0.99, ">=", "zero assignment broke a relation"
+    draws = _rigidity_draws(cfg)
+    failures = sum(relation_residual(D)[0] >= 1e-3 for D in draws)
     return (
-        failures / attempts,
+        failures / len(draws),
         0.99,
         ">=",
-        "nonzero scalar-point assignments break Leibniz",
+        "nonzero scalar-point assignments break a relation",
     )
 
 
@@ -420,7 +374,7 @@ def _check_boundary_identity(cfg: SuiteConfig):
         for n in (1, 2, 3):
             _, rep = boundary_approx_identity(
                 lam,
-                (4, 16, 64, 256, 1024, 4096),
+                _LADDER,
                 n,
                 kernel_elems=canonical_kernel_elements(n, lam),
             )
@@ -430,6 +384,20 @@ def _check_boundary_identity(cfg: SuiteConfig):
                 worst_final, rep["rows"][-1]["worst_residual"]
             )
     return worst_final, 0.02, "<=", "kernel approximate identity converges"
+
+
+def _check_boundary_derivative(cfg: SuiteConfig):
+    # d/dz of h_k(z**n) at lam has modulus k n / 2 on every diagonal entry
+    worst = np.inf
+    for lam in (1.0 + 0j, complex(np.exp(0.73j))):
+        for n in (1, 2, 3):
+            Fs, rep = boundary_approx_identity(lam, _LADDER, n)
+            for F, row in zip(Fs, rep["rows"]):
+                if row["norm_F"] > 2 + 1e-9:
+                    return 0.0, 0.99, ">=", f"||F_k|| above 2 at n={n}"
+                growth = np.linalg.norm(F_point_derivation(lam, F), 2)
+                worst = min(worst, growth / (row["k"] * n / 2))
+    return float(worst), 0.99, ">=", "d/dz(F_k) grows as k n / 2, ||F_k|| <= 2"
 
 
 def _check_semisimplicity(cfg: SuiteConfig):
@@ -449,6 +417,17 @@ def _check_semisimplicity(cfg: SuiteConfig):
     return 0.0, 0.5, "<=", "certificate separates zero from nonzero"
 
 
+def _check_localized_inner(cfg: SuiteConfig):
+    rng = _rng(cfg, 20)
+    worst = 0.0
+    for n in range(1, 5):
+        D = GlobalDerivation.from_commutator(random_element(n, rng, deg=4))
+        for lam in _point_kinds(rng):
+            res = inner_solve(localize(D, lam), tol=cfg.tol_inner)
+            worst = max(worst, res.residual)
+    return worst, cfg.tol_inner, "<=", "a global commutator is inner pointwise"
+
+
 def _check_reconstruction(cfg: SuiteConfig):
     rng = _rng(cfg, 16)
     worst = 0.0
@@ -457,11 +436,18 @@ def _check_reconstruction(cfg: SuiteConfig):
             X0 = random_element(n, rng, deg=4)
             D = GlobalDerivation.from_commutator(X0)
             field = solve_boundary_field(D, tol=cfg.tol_inner)
-            X = reconstruct_witness(field, deg_max=cfg.deg_max)
+            X = reconstruct_witness(field)
             rep = verify_global_inner(D, X, norm_grid=cfg.grid)
-            worst = max(worst, rep.max_residual)
-            if n == 1 and not X.is_zero:
-                return 1.0, 1e-8, "<=", "single-vertex witness not central"
+            # the verify residual is taken after the coefficient trim, so
+            # also hold the raw coefficients to the gauge X0 - X0[0][0] 1,
+            # which is 0 at n = 1
+            target = X0.coeffs - X0.coeffs[0, 0] * np.eye(n)[..., None]
+            length = max(X.coeffs.shape[2], target.shape[2])
+            gap = np.zeros((n, n, length), complex)
+            gap[..., : X.coeffs.shape[2]] += X.coeffs
+            gap[..., : target.shape[2]] -= target
+            l1_gap = float(np.abs(gap).sum(axis=2).max())
+            worst = max(worst, rep.max_residual, l1_gap)
     except NotLocallyInner as exc:
         # threshold 0 so the interrupted pipeline counts as failed while the
         # row still reports the rejecting residual
@@ -518,24 +504,23 @@ def _check_zero_split(cfg: SuiteConfig):
 
 
 _CHECKS = [
-    ("poly_ring_axioms", _check_poly_ring_axioms, False),
-    ("poly_eval_hom", _check_poly_eval_hom, False),
-    ("poly_interpolation", _check_poly_interpolation, False),
     ("generator_relations", _check_generator_relations, False),
-    ("mul_closure", _check_mul_closure, False),
-    ("mul_associativity", _check_mul_assoc, False),
-    ("norm_grid", _check_norm_grid, False),
     ("rep_multiplicative", _check_rep_hom, False),
     ("kernel_membership", _check_kernel_membership, False),
     ("leibniz_inner", _check_leibniz_delta, False),
     ("leibniz_derivative", _check_leibniz_F, False),
+    ("relations_inner", _check_relations_inner, False),
+    ("relations_derivative", _check_relations_F, False),
     ("inner_recovery", _check_inner_recovery, True),
     ("derivative_non_inner", _check_F_non_inner, True),
+    ("center_arrows_outer", _check_center_arrows, True),
     ("inner_kernel_vanishing", _check_delta_kernel_vanishing, False),
     ("scalar_point_rigidity", _check_diag0_rigidity, False),
     ("kernel_square", _check_kernel_square, False),
     ("boundary_identity", _check_boundary_identity, False),
+    ("boundary_derivative_unbounded", _check_boundary_derivative, False),
     ("semisimplicity", _check_semisimplicity, False),
+    ("localized_inner", _check_localized_inner, True),
     ("reconstruction_roundtrip", _check_reconstruction, True),
     ("reconstruction_rejects", _check_reconstruction_rejects, True),
     ("zero_split", _check_zero_split, True),
@@ -543,7 +528,7 @@ _CHECKS = [
 
 
 def run_suite(cfg: SuiteConfig | None = None) -> list[dict]:
-    """Run every invariant check and return one report row per check."""
+    """Run every check and return one report row per check."""
     cfg = cfg or SuiteConfig()
     rows = []
     for name, fn, tol_sensitive in _CHECKS:

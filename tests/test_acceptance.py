@@ -214,7 +214,6 @@ def test_criterion_4_vertex_character_rigidity():
                 n,
                 trials=30,
                 seed=attempts,
-                stop_above=1e-3,
             )
             if resid >= 1e-3:
                 failures += 1

@@ -56,16 +56,16 @@ def test_batched_spectral_norms_live_in_algebra():
     assert list(_batched_spectral_norms(ast.parse(algebra.read_text())))
 
 
-def test_only_the_ladder_and_the_ring_rows_name_poly():
+def test_only_poly_and_the_ladder_name_poly():
     # an element is one coefficient array, and every element API takes or
-    # returns arrays; Poly is left to its own module, the approximate-
-    # identity ladder of derivations and the suite's ring rows
+    # returns arrays; Poly is left to its own module and the approximate-
+    # identity ladder of derivations
     named = [
         path.name
         for path in SOURCES
         if re.search(r"\bPoly\b", path.read_text())
     ]
-    assert named == ["derivations.py", "poly.py", "suite.py"]
+    assert named == ["derivations.py", "poly.py"]
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 from cyclealg import suite
+from cyclealg.derivations import check_leibniz, relation_residual
 from cyclealg.suite import SuiteConfig, run_suite, summarize
 
 ROW_FIELDS = {
@@ -17,6 +18,29 @@ ROW_FIELDS = {
     "tolerance_induced",
     "detail",
 }
+
+ROW_NAMES = [
+    "generator_relations",
+    "rep_multiplicative",
+    "kernel_membership",
+    "leibniz_inner",
+    "leibniz_derivative",
+    "relations_inner",
+    "relations_derivative",
+    "inner_recovery",
+    "derivative_non_inner",
+    "center_arrows_outer",
+    "inner_kernel_vanishing",
+    "scalar_point_rigidity",
+    "kernel_square",
+    "boundary_identity",
+    "boundary_derivative_unbounded",
+    "semisimplicity",
+    "localized_inner",
+    "reconstruction_roundtrip",
+    "reconstruction_rejects",
+    "zero_split",
+]
 
 
 def test_default_suite_is_green():
@@ -71,3 +95,20 @@ def test_strict_tolerance_failures_are_attributed():
     by_name = {r["name"]: r for r in rows}
     for name in summary["failed"]:
         assert by_name[name]["tolerance_sensitive"]
+
+
+def test_row_names_are_frozen():
+    # each row states one of the paper's results; the ring and product
+    # invariants of the library are left to the unit tests
+    assert [name for name, _, _ in suite._CHECKS] == ROW_NAMES
+
+
+def test_rigidity_verdicts_agree_with_sampled_leibniz():
+    # the rigidity row decides each draw on the 3n^2 relations; sampling
+    # random element pairs, the independent oracle, reaches the same verdict
+    draws = suite._rigidity_draws(SuiteConfig())
+    assert len(draws) == 200
+    for D in draws:
+        exact, _ = relation_residual(D)
+        sampled = check_leibniz(D.apply, D.point, D.n, trials=10, seed=0)
+        assert (exact >= 1e-3) == (sampled >= 1e-3), (exact, sampled)
