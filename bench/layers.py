@@ -1,7 +1,7 @@
 """Per-layer timings of the point-derivation path, one column per checkout.
 
     python bench/layers.py --column parent=../parent/src --column change=src \
-        --out BENCH_19.json
+        --out BENCH_22.json
 
 Each ``--column LABEL=SRC`` imports ``cyclealg`` from the directory SRC in
 a fresh interpreter (BLAS pinned to one thread) and times, at n = 1, 2, 4
@@ -10,6 +10,8 @@ and 6 on fixed seeded inputs:
 - ``GenDerivation.apply`` and ``eval_rep`` at an interior Lambda point on a
   product of two degree-6 elements (the element ``check_leibniz`` feeds
   them),
+- ``GenDerivation(...)``, the construction at that point from 2n seeded
+  n x n complex matrices,
 - ``check_leibniz`` with 40 trials on commutator data, and
   ``relation_residual`` on the same data,
 - ``gen_derivation_from_json`` of that data (from parsed JSON), and the
@@ -43,7 +45,8 @@ and 6 on fixed seeded inputs:
   4, 6 and 8 instead: ``solve_boundary_field`` on its default grid,
   n (d + 1) = 10 n points for this data's top w-degree d = 9,
   ``verify_global_inner`` of the
-  reconstructed witness, ``algebra.norm`` of the first arrow value and of
+  reconstructed witness, ``GlobalDerivation.apply`` on each of the 2n
+  generators (one cell), ``algebra.norm`` of the first arrow value and of
   the zero element on the default 512-point norm grid, the ``reconstruct
   --deg-max 12`` command on the data through ``cli.main`` (report written
   to the null device), and
@@ -102,7 +105,8 @@ def measure(src: str) -> dict:
     import numpy as np
 
     from cyclealg import cli
-    from cyclealg.algebra import element_from_json, gen_Z, mul_elem, norm
+    from cyclealg.algebra import element_from_json, gen_Z, generators
+    from cyclealg.algebra import mul_elem, norm
     from cyclealg.algebra import parse_realized, random_element, zero
     from cyclealg.derivations import GenDerivation, check_leibniz, inner_solve
     from cyclealg.derivations import gen_derivation_from_json
@@ -141,8 +145,13 @@ def measure(src: str) -> dict:
         a = random_element(n, rng, deg=DEG, normalize=True)
         b = random_element(n, rng, deg=DEG, normalize=True)
         ab = mul_elem(a, b)
+        mats = np.random.default_rng(550 + n).normal(size=(2, n, n, n, 2))
+        mats = mats @ [1.0, 1j]
         cases = {
             "GenDerivation.apply": lambda: D.apply(ab),
+            "GenDerivation(...)": lambda: GenDerivation(
+                point, tuple(mats[0]), tuple(mats[1])
+            ),
             "eval_rep": lambda: eval_rep(point, ab),
             "check_leibniz(trials=40)": lambda: check_leibniz(
                 D.apply, point, n, trials=40, seed=1, deg=DEG
@@ -198,10 +207,14 @@ def measure(src: str) -> dict:
         local = localize(D, lam)
         doc = json.loads(json.dumps(D.to_json()))
         arrow = gen_Z(n, 1)
+        gens = [g for half in generators(n) for g in half]
         p, q = (Poly(rng.normal(size=4 * n + 1)) for _ in range(2))
         cases = {
             "solve_boundary_field": lambda: solve_boundary_field(D),
             "verify_global_inner": lambda: verify_global_inner(D, witness),
+            "GlobalDerivation.apply(generators)": lambda: [
+                D.apply(g) for g in gens
+            ],
             "norm": lambda: norm(D.values_Z[0]),
             "norm(zero)": lambda: norm(zero(n)),
             "inner_solve": lambda: inner_solve(local),

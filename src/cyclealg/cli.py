@@ -261,7 +261,7 @@ def _cmd_semisimple(args) -> tuple[int, dict]:
     doc = _load_doc(args.input)
     element = element_from_json(doc.get("element", doc))
     _check_n(args, element.n)
-    verdict = semisimplicity_certificate(element, deg_max=args.deg_max)
+    verdict = semisimplicity_certificate(element)
     report = {
         "n": element.n,
         "verdict": "zero" if verdict.is_zero else "nonzero",

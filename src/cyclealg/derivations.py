@@ -3,8 +3,10 @@
 A point derivation at a representation point phi is a linear map D from the
 algebra into matrices satisfying D(ab) = D(a) phi(b) + phi(a) D(b).  Such a
 map is determined by its values on the 2n generators; ``GenDerivation``
-stores those values and extends them to arbitrary elements along canonical
-monomials, which walk the cycle with arrow steps.
+stores those values once, as one read-only (2n, d, d) array, and extends
+them to arbitrary elements along canonical monomials, which walk the cycle
+with arrow steps.  Every reader (``apply``, ``relation_residual``,
+``inner_solve``) takes slices of that one array.
 
 Generator data extends to a point derivation exactly when the Leibniz rule
 holds on the defining relations of the path algebra of the directed n-cycle
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -74,28 +76,21 @@ __all__ = [
 ]
 
 
-def _as_locked(m, dim: int) -> np.ndarray:
-    arr = np.array(m, dtype=complex)
-    if arr.shape != (dim, dim):
-        raise DimensionMismatch(
-            f"derivation value has shape {arr.shape}, expected {(dim, dim)}"
-        )
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class GenDerivation:
     """Derivation data at one representation point: values on generators.
 
-    values_e[i] and values_Z[i] are the images of the i-th vertex idempotent
-    and arrow element (0-based storage of the 1-based generator lists).
-    Values are n x n at Lambda points, 1 x 1 at DiagZero points.
+    ``values`` is one read-only (2n, d, d) array, a copy of the input: rows
+    0..n-1 are the images of the vertex idempotents and rows n..2n-1 those
+    of the arrow elements (0-based storage of the 1-based generator lists),
+    d = n at Lambda points and 1 at DiagZero points.  values_e and values_Z
+    are tuples of read-only views of its two halves.
     """
 
     point: RepPoint
     values_e: tuple[np.ndarray, ...]
     values_Z: tuple[np.ndarray, ...]
+    values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.values_e)
@@ -104,12 +99,19 @@ class GenDerivation:
         if isinstance(self.point, DiagZero):
             _vertex(self.point, n)
         dim = n if isinstance(self.point, Lambda) else 1
-        object.__setattr__(
-            self, "values_e", tuple(_as_locked(v, dim) for v in self.values_e)
-        )
-        object.__setattr__(
-            self, "values_Z", tuple(_as_locked(v, dim) for v in self.values_Z)
-        )
+        values = np.empty((2 * n, dim, dim), dtype=complex)
+        for slot, v in zip(values, (*self.values_e, *self.values_Z)):
+            v = np.asarray(v, dtype=complex)
+            if v.shape != (dim, dim):
+                raise DimensionMismatch(
+                    f"derivation value has shape {v.shape}, "
+                    f"expected {(dim, dim)}"
+                )
+            slot[...] = v
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values_e", tuple(values[:n]))
+        object.__setattr__(self, "values_Z", tuple(values[n:]))
 
     @property
     def n(self) -> int:
@@ -132,12 +134,6 @@ class GenDerivation:
         return cls(point, tuple(values[:n]), tuple(values[n:]))
 
     @cached_property
-    def _stacked(self) -> np.ndarray:
-        """All 2n generator values, one flattened value per row."""
-        values = np.stack(self.values_e + self.values_Z)
-        return values.reshape(2 * self.n, -1)
-
-    @cached_property
     def _path_weights(self) -> tuple[np.ndarray, ...]:
         """F, G, the reading sum and Q of the closed form in ``apply``.
 
@@ -148,7 +144,7 @@ class GenDerivation:
         n = self.n
         idx = np.arange(n)
         nxt = (idx + 1) % n
-        VZ = np.asarray(self.values_Z)
+        VZ = self.values[n:]
         s = VZ[idx, idx, nxt]
         csum = np.concatenate([[0], np.cumsum(np.concatenate([s, s]))])
         rem = (idx[None, :] - idx[:, None] - 2) % n
@@ -173,7 +169,8 @@ class GenDerivation:
         R = a.realized_coeffs(2)
         idx = np.arange(n)
         lead = np.concatenate([R[idx, idx, 0], R[idx, (idx + 1) % n, 1]])
-        out = (lead @ self._stacked).reshape(self.values_e[0].shape)
+        values = self.values
+        out = (lead @ values.reshape(2 * n, -1)).reshape(values.shape[1:])
         if isinstance(self.point, DiagZero) or R.shape[2] == 2:
             return out
         F, G, total, Q = self._path_weights
@@ -270,7 +267,7 @@ def relation_residual(D: GenDerivation) -> tuple[float, str]:
     n = D.n
     images = generator_images(D.point, n)
     Pe, PZ = images[:n], images[n:]
-    Ve, VZ = np.array(D.values_e), np.array(D.values_Z)
+    Ve, VZ = D.values[:n], D.values[n:]
     same = np.eye(n)[:, :, None, None]  # [a, b] -> delta_ab
     step = np.roll(same, 1, axis=1)  # [j, k] -> delta_{k,j+1}
     defects = np.stack(
@@ -390,9 +387,7 @@ def inner_solve(D: GenDerivation, tol: float | None = None) -> InnerSolveResult:
     value.
     """
     tol = config.TOL_INNER if tol is None else tol
-    X, residual = _point_solve(
-        D.point, [v[None] for v in (*D.values_e, *D.values_Z)], tol
-    )
+    X, residual = _point_solve(D.point, D.values[:, None], tol)
     residual = float(residual[0])
     return InnerSolveResult(D.point, X[0], residual, residual <= tol, tol)
 

@@ -12,9 +12,9 @@ a coefficient array of any shape in one vectorized pass.  ``Poly(...)``
 applies it to one row; the element layer applies it to the (n, n, L) array
 that holds all n**2 entries of an element.
 
-``Poly`` itself still serves the powers of the approximate-identity ladder,
-the entries interpolated by ``interpolate_roots_of_unity``, and the suite's
-ring rows; the element layer reads and writes coefficient arrays only.
+``Poly`` itself still serves the powers of the approximate-identity ladder
+and the entries interpolated by ``interpolate_roots_of_unity``; the element
+layer reads and writes coefficient arrays only.
 """
 
 from __future__ import annotations
@@ -73,8 +73,6 @@ class Poly:
     """Immutable complex polynomial in one variable.
 
     >>> p = Poly([1, 2, 1])
-    >>> p.eval(2)
-    (9+0j)
     >>> (p * Poly([1, -1])).coeffs.tolist()
     [(1+0j), (1+0j), (-1+0j), (-1+0j)]
     """
@@ -98,11 +96,6 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return len(self.coeffs) == 0
-
-    @property
-    def norm_l1(self) -> float:
-        """Sum of coefficient moduli; the working norm on this layer."""
-        return float(np.sum(np.abs(self.coeffs)))
 
     def __add__(self, other) -> Poly:
         if not isinstance(other, Poly):
@@ -159,14 +152,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.coeffs.tolist()!r})"
-
-    def eval(self, x):
-        """Evaluate at a scalar or ndarray of points (Horner)."""
-        scalar = np.ndim(x) == 0
-        if self.is_zero:
-            return 0j if scalar else np.zeros(np.shape(x), dtype=complex)
-        value = np.polynomial.polynomial.polyval(x, self.coeffs)
-        return complex(value) if scalar else value
 
 
 def complex_from_json(re, im=0.0, name: str = "number") -> complex:

@@ -8,11 +8,15 @@ interpolation then recovers a single element X with D(a) = a X - X a,
 provided the data really came from a derivation of the algebra.  The n = 1
 algebra has no off-diagonal room and witnesses collapse to scalars, so the
 pipeline certifies an inner witness only for D = 0 there.
+
+A derivation is fixed by its generator values, and the witness is checked
+on the 2n generator equations alone, so ``GlobalDerivation`` keeps the 2n
+values as elements and ``apply`` reads them on the span of the generators.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,9 +24,7 @@ from . import config
 from .algebra import (
     CycleElement,
     element_from_json,
-    gen_Z,
     generators,
-    monomial_elem,
     mul_elem,
     norm,
     parse_realized,
@@ -62,9 +64,6 @@ class GlobalDerivation:
     n: int
     values_e: tuple[CycleElement, ...]
     values_Z: tuple[CycleElement, ...]
-    _monomial_cache: dict = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.n < 1:
@@ -74,12 +73,8 @@ class GlobalDerivation:
         for v in (*self.values_e, *self.values_Z):
             if v.n != self.n:
                 raise DimensionMismatch("value lives over the wrong cycle")
-        object.__setattr__(
-            self, "values_e", tuple(self.values_e)
-        )
-        object.__setattr__(
-            self, "values_Z", tuple(self.values_Z)
-        )
+        object.__setattr__(self, "values_e", tuple(self.values_e))
+        object.__setattr__(self, "values_Z", tuple(self.values_Z))
 
     @classmethod
     def from_commutator(cls, X0: CycleElement) -> GlobalDerivation:
@@ -98,42 +93,28 @@ class GlobalDerivation:
             v.max_degree for v in (*self.values_e, *self.values_Z)
         )
 
-    def _monomial_value(self, i: int, m: int) -> CycleElement:
-        """D on the canonical path monomial starting at vertex i (0-based)
-        with m arrow steps, built by the Leibniz rule along the path.
-
-        The vertex (m = 0) and the arrow (m = 1) are generators and take
-        their data values, so D agrees with its data on every generator."""
-        key = (i, m)
-        hit = self._monomial_cache.get(key)
-        if hit is not None:
-            return hit
-        n = self.n
-        if m == 0:
-            value = self.values_e[i]
-        elif m == 1:
-            value = self.values_Z[i]
-        else:
-            prev = self._monomial_value(i, m - 1)
-            arrow_idx = (i + m - 1) % n
-            arrow = gen_Z(n, arrow_idx + 1)
-            prefix = _path_monomial(n, i, m - 1)
-            value = mul_elem(prev, arrow) + mul_elem(
-                prefix, self.values_Z[arrow_idx]
-            )
-        self._monomial_cache[key] = value
-        return value
-
     def apply(self, a: CycleElement) -> CycleElement:
-        """Extend the generator values to an arbitrary element."""
+        """D on an element of the span of the 2n generators.
+
+        A coefficient on the path of m arrows from vertex i reads the data
+        value of that generator, values_e[i] at m = 0 and values_Z[i] at
+        m = 1, so D agrees with its data on every generator and is linear
+        on their span.  A longer path is no generator: ValueError.
+        """
         if a.n != self.n:
             raise DimensionMismatch("element and derivation sizes differ")
         n = self.n
+        values = (self.values_e, self.values_Z)
         out = zero(n)
         # row-major over (i, j, d), skipping zero coefficients
         for i, j, d in zip(*(x.tolist() for x in np.nonzero(a.coeffs))):
-            value = self._monomial_value(i, (j - i) % n + d * n)
-            out = out + value * a.coeffs[i, j, d]
+            steps = (j - i) % n + d * n
+            if steps >= 2:
+                raise ValueError(
+                    f"element has a path of {steps} arrows from vertex {i}; "
+                    "D is read on the span of the generators only"
+                )
+            out = out + values[steps][i] * a.coeffs[i, j, d]
         return out
 
     def to_json(self) -> dict:
@@ -152,13 +133,6 @@ def global_derivation_from_json(data: dict) -> GlobalDerivation:
     except TypeError as exc:
         raise ValueError(f"malformed derivation JSON: {exc}") from exc
     return GlobalDerivation(n, values_e, values_Z)
-
-
-def _path_monomial(n: int, i: int, m: int) -> CycleElement:
-    """The product of m consecutive arrows starting at vertex i (0-based)."""
-    j = (i + m) % n
-    power = (m - ((j - i) % n)) // n
-    return monomial_elem(n, i + 1, j + 1, power)
 
 
 def _bracket(g: CycleElement, X: CycleElement) -> CycleElement:

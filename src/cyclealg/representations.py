@@ -180,22 +180,17 @@ class SemisimplicityVerdict:
     points: int
 
 
-def semisimplicity_certificate(
-    a: CycleElement, deg_max: int | None = None
-) -> SemisimplicityVerdict:
+def semisimplicity_certificate(a: CycleElement) -> SemisimplicityVerdict:
     """Decide whether an element vanishes in all interior representations.
 
-    Evaluates on n*(cap+2) points of the circle of radius 1/2, where cap is
-    at least the element's own top entry degree, so a nonzero element of
-    admissible degree cannot vanish on the whole grid.  Verdict threshold is
-    max |entry| <= 1e-10.  Zero here is equivalent to being the zero element;
-    separating points force triviality of this kind of radical.
+    Evaluates on n*(d+2) points of the circle of radius 1/2, d the element's
+    own top entry degree (0 for the zero element), so a nonzero element
+    cannot vanish on the whole grid.  Verdict threshold is max |entry| <=
+    1e-10.  Zero here is equivalent to being the zero element; separating
+    points force triviality of this kind of radical.
     """
     n = a.n
-    cap = max(a.max_degree, 0)
-    if deg_max is not None:
-        cap = max(cap, deg_max)
-    m = n * (cap + 2)
+    m = n * (max(a.max_degree, 0) + 2)
     tensor = a.realized_coeffs()
     L = tensor.shape[2]
     if L > m:

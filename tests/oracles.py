@@ -5,13 +5,18 @@ builds a ``Poly`` per entry.  The oracles of the tests do: they redo element
 arithmetic entry by entry on ``Poly`` objects and compare the bits.  These
 helpers read an element as its n x n grid of ``Poly`` entries and build one
 back from such a grid; ``raw_gap`` compares elements to rounding.
+``poly_at`` evaluates such an entry, and ``leibniz_extension`` extends a
+global derivation from its generator values to any element.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
-from cyclealg.algebra import CycleElement
+from cyclealg.algebra import CycleElement, gen_Z, monomial_elem, mul_elem
+from cyclealg.algebra import zero
 from cyclealg.errors import DimensionMismatch
 from cyclealg.poly import Poly, complex_from_json
 
@@ -62,3 +67,38 @@ def raw_gap(lhs: CycleElement, *rhs: CycleElement) -> float:
     for t in rhs:
         gap[..., : t.coeffs.shape[2]] -= t.coeffs
     return float(np.max(np.abs(gap), initial=0.0))
+
+
+def poly_at(p: Poly, x):
+    """p at the scalar or array x, by numpy's Horner ``polyval``."""
+    if p.is_zero:
+        return np.zeros(np.shape(x), dtype=complex)
+    return np.polynomial.polynomial.polyval(x, p.coeffs)
+
+
+def leibniz_extension(D, a: CycleElement) -> CycleElement:
+    """The global derivation D extended to any element by the Leibniz rule.
+
+    D on the path of m arrows from vertex i is built along the path:
+    D(p Z) = D(p) Z + p D(Z), with p the path of its first m - 1 arrows.
+    The vertex (m = 0) and the arrow (m = 1) are generators and take their
+    data values, so on the span of the generators this is
+    ``GlobalDerivation.apply``, bit for bit.
+    """
+    n = D.n
+
+    @cache
+    def path_value(i: int, m: int) -> CycleElement:
+        if m <= 1:
+            return (D.values_e, D.values_Z)[m][i]
+        j = (i + m - 1) % n  # the first m - 1 arrows end where Z_j starts
+        prefix = monomial_elem(n, i + 1, j + 1, (m - 1 - (j - i) % n) // n)
+        return mul_elem(path_value(i, m - 1), gen_Z(n, j + 1)) + mul_elem(
+            prefix, D.values_Z[j]
+        )
+
+    out = zero(n)
+    # row-major over (i, j, d), skipping zero coefficients
+    for i, j, d in zip(*(x.tolist() for x in np.nonzero(a.coeffs))):
+        out = out + path_value(i, (j - i) % n + d * n) * a.coeffs[i, j, d]
+    return out

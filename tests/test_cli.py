@@ -665,6 +665,20 @@ def test_semisimple_verdicts(tmp_path, capsys):
     assert report["verdict"] == "nonzero" and "witness" in report
 
 
+def test_semisimple_grid_ignores_deg_max(tmp_path, capsys):
+    # the grid n (d + 2) is sized by the element's own degree d; --deg-max
+    # is parsed, validated and echoed, and changes nothing else
+    for name, elem in (("z", zero(2)), ("nz", monomial_elem(3, 1, 3, 1))):
+        path = write(tmp_path, f"{name}.json", elem.to_json())
+        reports = [
+            json.loads(run(capsys, ["semisimple", *extra, "--input", path])[1])
+            for extra in ([], ["--deg-max", "40"])
+        ]
+        assert reports[1]["config"].pop("deg_max") == 40
+        reports[0]["config"].pop("deg_max")
+        assert reports[0] == reports[1]
+
+
 # ----------------------------------------------------------------------
 # kernel-witness
 # ----------------------------------------------------------------------

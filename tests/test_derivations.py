@@ -978,6 +978,26 @@ def test_gen_derivation_values_are_locked():
     D = GenDerivation.from_commutator(Lambda(0.2), np.eye(2), 2)
     with pytest.raises(ValueError):
         D.values_e[0][0, 0] = 5.0
+    with pytest.raises(ValueError):
+        D.values[0, 0, 0] = 5.0
+    # one (2n, d, d) copy of the input; values_e and values_Z are tuples
+    # of views of its halves
+    rng = np.random.default_rng(53)
+    for point, n, dim in ((Lambda(0.2), 3, 3), (DiagZero(2), 3, 1)):
+        inputs = [random_matrix(rng, dim) for _ in range(2 * n)]
+        D = GenDerivation(point, tuple(inputs[:n]), tuple(inputs[n:]))
+        assert D.values.shape == (2 * n, dim, dim)
+        assert isinstance(D.values_e, tuple)
+        assert isinstance(D.values_Z, tuple)
+        assert all(
+            np.shares_memory(v, D.values) for v in D.values_e + D.values_Z
+        )
+        before = D.values.copy()
+        assert np.array_equal(before, np.stack(inputs))
+        for v in inputs:
+            v[...] = 7.0
+        assert np.array_equal(D.values, before)
+        assert np.array_equal(np.stack(D.values_e + D.values_Z), before)
 
 
 def test_gen_derivation_json_round_trip():

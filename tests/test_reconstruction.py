@@ -9,6 +9,7 @@ from cyclealg.algebra import (
     diagonal,
     gen_Z,
     gen_e,
+    generators,
     identity,
     monomial_elem,
     mul_elem,
@@ -37,7 +38,7 @@ from cyclealg.reconstruction import (
 )
 from cyclealg.representations import Lambda, eval_rep
 
-from oracles import entries, raw_gap
+from oracles import entries, leibniz_extension, raw_gap
 
 
 def commutator(a, X):
@@ -63,7 +64,7 @@ def test_apply_matches_direct_commutator():
         D = GlobalDerivation.from_commutator(X0)
         for _ in range(6):
             a = random_element(n, rng, deg=4)
-            assert D.apply(a) == commutator(a, X0)
+            assert leibniz_extension(D, a) == commutator(a, X0)
 
 
 def test_apply_word_matches_apply():
@@ -77,7 +78,7 @@ def test_apply_word_matches_apply():
         mul_elem(mul_elem(gen_e(n, 1), gen_Z(n, 1)), gen_Z(n, 2)),
         mul_elem(gen_Z(n, 3), gen_Z(n, 1)),
     )
-    assert D.apply(elem) == commutator(elem, X0)
+    assert leibniz_extension(D, elem) == commutator(elem, X0)
 
 
 def test_localize_commutes_with_evaluation():
@@ -103,9 +104,46 @@ def test_localize_commutes_with_evaluation():
                 a = random_element(n, rng, deg=4)
                 assert np.allclose(
                     local.apply(a),
-                    eval_rep(Lambda(lam), D.apply(a)),
+                    eval_rep(Lambda(lam), leibniz_extension(D, a)),
                     atol=1e-9,
                 )
+
+
+def test_apply_reads_the_generator_span():
+    # on the span of the generators apply is the Leibniz extension, bit for
+    # bit; a path of two or more arrows is no generator and raises
+    rng = np.random.default_rng(64)
+    for n in (1, 2, 3, 4):
+        inputs = [
+            GlobalDerivation.from_commutator(random_element(n, rng, deg=3)),
+            GlobalDerivation(
+                n,
+                tuple(random_element(n, rng, deg=2) for _ in range(n)),
+                tuple(random_element(n, rng, deg=2) for _ in range(n)),
+            ),
+        ]
+        es, Zs = generators(n)
+        for D in inputs:
+            combos = [
+                sum(
+                    (complex(*rng.normal(size=2)) * g for g in (*es, *Zs)),
+                    zero(n),
+                )
+                for _ in range(3)
+            ]
+            for a in (*es, *Zs, *combos):
+                got, want = D.apply(a), leibniz_extension(D, a)
+                assert got.coeffs.tobytes() == want.coeffs.tobytes()
+            for i in range(n):
+                for m in range(2, 2 * n + 2):
+                    j = (i + m) % n
+                    path = monomial_elem(
+                        n, i + 1, j + 1, (m - (j - i) % n) // n
+                    )
+                    with pytest.raises(ValueError):
+                        D.apply(path)
+            with pytest.raises(ValueError):
+                D.apply(random_element(n, rng, deg=4))
 
 
 def test_global_derivation_validation():

@@ -40,16 +40,12 @@ from cyclealg.representations import (
     semisimplicity_certificate,
 )
 
-from oracles import entries, from_rows, realize
+from oracles import entries, from_rows, poly_at, realize
 
 
 def eval_rep_oracle(lam: complex, a) -> np.ndarray:
     """Independent evaluation through the realized z-polynomials."""
-    realized = realize(a)
-    n = a.n
-    return np.array(
-        [[realized[i][j].eval(lam) for j in range(n)] for i in range(n)]
-    )
+    return np.array([[poly_at(p, lam) for p in row] for row in realize(a)])
 
 
 # ----------------------------------------------------------------------
