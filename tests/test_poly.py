@@ -14,6 +14,7 @@ from cyclealg.poly import (
     complex_from_json,
     eval_at_unit_roots,
     interpolate_roots_of_unity,
+    powers,
 )
 
 from oracles import poly_at
@@ -50,6 +51,14 @@ def test_mul_hand_value():
     # (1 + w)(1 - w) = 1 - w^2
     prod = Poly([1, 1]) * Poly([1, -1])
     assert prod.coeffs.tolist() == [1 + 0j, 0j, -1 + 0j]
+
+
+def test_eval_hand_value():
+    # 1 + 2w + w^2 at w = 2 is 9, as the library sums it (coefficients
+    # against ``powers``) and as the test oracle ``poly_at`` does
+    p = Poly([1, 2, 1])
+    assert p.coeffs @ powers(2, 3) == 9 + 0j
+    assert poly_at(p, 2) == 9 + 0j
 
 
 def test_interpolation_hand_value():
@@ -105,6 +114,18 @@ def test_mul_matches_naive():
         p = random_poly(rng, deg=int(rng.integers(0, 9)))
         q = random_poly(rng, deg=int(rng.integers(0, 9)))
         assert p * q == naive_mul(p, q)
+
+
+def test_eval_matches_horner_by_hand():
+    rng = np.random.default_rng(12)
+    for _ in range(25):
+        p = random_poly(rng, deg=6)
+        x = complex(rng.normal(), rng.normal())
+        acc = 0j
+        for c in p.coeffs[::-1]:
+            acc = acc * x + c
+        assert abs(p.coeffs @ powers(x, 7) - acc) <= 1e-12 * (1 + abs(acc))
+        assert abs(poly_at(p, x) - acc) <= 1e-12 * (1 + abs(acc))
 
 
 def _fold_oracle(c, m):
