@@ -1,7 +1,7 @@
 """Per-layer timings of the point-derivation path, one column per checkout.
 
     python bench/layers.py --column parent=../parent/src --column change=src \
-        --out BENCH_22.json
+        --out BENCH_23.json
 
 Each ``--column LABEL=SRC`` imports ``cyclealg`` from the directory SRC in
 a fresh interpreter (BLAS pinned to one thread) and times, at n = 1, 2, 4
@@ -39,7 +39,9 @@ and 6 on fixed seeded inputs:
 - the ``approx-identity`` command through ``cli.main`` (report written to
   the null device) at lambda = exp(0.7i), k = 1, 2, 4, ..., 4096, on the
   default grid and the canonical kernel elements, at n = 1, 2 and 3
-  instead,
+  instead; at the same lambda and n, ``norm`` of the ladder's top element
+  F_4096 and ``grid_norms`` of the canonical kernel elements (one cell for
+  all of them), both on that 4099-point grid,
 - on the data of a ``reconstruct --deg-max 12`` request,
   ``GlobalDerivation.from_commutator(random_element(n, deg=8))`` at n = 2,
   4, 6 and 8 instead: ``solve_boundary_field`` on its default grid,
@@ -88,6 +90,7 @@ SCALE_SIZES = (16, 32, 64)
 LADDER_SIZES = (1, 2, 3)
 RECONSTRUCT_SIZES = (2, 4, 6, 8)
 LADDER = [2**j for j in range(13)]  # 1 .. 4096
+LADDER_GRID = 4099  # the approx-identity default grid
 REPEATS = 7
 ROUNDS = 3
 DEG = 6
@@ -106,9 +109,11 @@ def measure(src: str) -> dict:
 
     from cyclealg import cli
     from cyclealg.algebra import element_from_json, gen_Z, generators
-    from cyclealg.algebra import mul_elem, norm
+    from cyclealg.algebra import grid_norms, mul_elem, norm
     from cyclealg.algebra import parse_realized, random_element, zero
     from cyclealg.derivations import GenDerivation, check_leibniz, inner_solve
+    from cyclealg.derivations import boundary_approx_identity
+    from cyclealg.derivations import canonical_kernel_elements
     from cyclealg.derivations import gen_derivation_from_json
     from cyclealg.derivations import relation_residual
     from cyclealg.poly import Poly
@@ -198,6 +203,17 @@ def measure(src: str) -> dict:
         )
         out.setdefault("inner_solve(interior) peak MB", {})[size] = peak
     lam = complex(np.exp(0.7j))
+    for n in LADDER_SIZES:
+        (F,), _ = boundary_approx_identity(lam, LADDER[-1:], n)
+        kernel = canonical_kernel_elements(n, lam)
+        cases = {
+            "norm(F_4096)": lambda: norm(F, LADDER_GRID),
+            "grid_norms(kernel elements)": lambda: [
+                grid_norms(k, LADDER_GRID) for k in kernel
+            ],
+        }
+        for name, fn in cases.items():
+            out.setdefault(name, {})[f"n{n}"] = median_call(fn)
     for n in RECONSTRUCT_SIZES:
         rng = np.random.default_rng(700 + n)
         D = GlobalDerivation.from_commutator(random_element(n, rng, deg=8))

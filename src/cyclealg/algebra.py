@@ -155,13 +155,12 @@ class CycleElement:
     def norm_l1(self) -> float:
         """The largest coefficient l1 sum over the entries.
 
-        Each entry is summed on its own trimmed row.
+        One reduction over the whole array: every slot past an entry's end
+        holds +0.0 and adds nothing.  A row of 8 or more slots is summed
+        pairwise by numpy, so where an entry ends before L its sum may
+        differ in the last bits from the sum of its trimmed row alone.
         """
-        rows = self.coeffs.reshape(self.n**2, self.coeffs.shape[2])
-        return max(
-            float(np.sum(np.abs(c[:end])))
-            for c, end in zip(rows, self.ends.ravel().tolist())
-        )
+        return float(np.abs(self.coeffs).sum(axis=2).max(initial=0.0))
 
     # ---- realization -----------------------------------------------------
 
@@ -369,28 +368,59 @@ def spectral_norms(stack: np.ndarray, floor: float = np.inf) -> np.ndarray:
     return out.reshape(stack.shape[:-2])
 
 
+def _entry_moduli(a: CycleElement, grid: int) -> np.ndarray | None:
+    """Grid norms of an element with at most one entry per row and column.
+
+    Such a matrix is a partial permutation times a diagonal, so its
+    singular values are the moduli of its entries (Golub and Van Loan,
+    Matrix Computations, 2.3), and |z**s f(z**n)| = |f(z**n)| on the unit
+    circle.  So the k <= n nonzero entries are transformed in w alone, and
+    grid point t reads their largest modulus at the grid point n t mod
+    grid, which is z**n.  Returns None for any other element.
+    """
+    nonzero = a.ends > 0
+    if nonzero.sum(axis=0).max() > 1 or nonzero.sum(axis=1).max() > 1:
+        return None
+    values = eval_at_unit_roots(a.coeffs[nonzero], grid)
+    moduli = np.abs(values).max(axis=0, initial=0.0)
+    return moduli[a.n * np.arange(grid) % grid]
+
+
 def grid_norms(a: CycleElement, grid: int = config.NORM_GRID) -> np.ndarray:
     """Operator norm of the realized matrix at each grid point.
 
-    Entry t is the largest singular value at exp(2*pi*i*t/grid), taken in
-    one batched singular-value decomposition over the grid.
+    Entry t is the norm at exp(2*pi*i*t/grid).  An element with at most
+    one nonzero entry in each row and column (a generator, a monomial, a
+    diagonal element such as ``identity``) reads it as the largest entry
+    modulus, from one transform of its entries' w-coefficient rows; any
+    other element takes the largest singular value of every grid point in
+    one batched singular-value decomposition.
     """
+    moduli = _entry_moduli(a, grid)
+    if moduli is not None:
+        return moduli
     return _largest_singular_values(_grid_values(a, grid))
 
 
 def norm(a: CycleElement, grid: int = config.NORM_GRID) -> float:
     """Max operator norm over equispaced unit-circle points.
 
-    The max of ``grid_norms``, bit for bit, read through
-    ``spectral_norms``: a dense lower bound for the sup norm of the realized
-    matrix function; the default grid has 512 points.  The zero element
-    reads 0.0, the value every grid gives it, without a grid pass.
+    The max of ``grid_norms``, bit for bit: a dense lower bound for the sup
+    norm of the realized matrix function; the default grid has 512 points.
+    An element with at most one nonzero entry in each row and column reads
+    its largest entry modulus, with no decomposition; any other element
+    reads its grid values through ``spectral_norms``, which decomposes few
+    of them.  The zero element reads 0.0, the value every grid gives it,
+    without a grid pass.
     """
     if grid < 1:
         raise ValueError("grid size must be >= 1")
     if a.is_zero:
         return 0.0
-    return float(spectral_norms(_grid_values(a, grid)).max())
+    moduli = _entry_moduli(a, grid)
+    if moduli is None:
+        moduli = spectral_norms(_grid_values(a, grid))
+    return float(moduli.max())
 
 
 def _grid_values(a: CycleElement, grid: int) -> np.ndarray:

@@ -7,6 +7,12 @@ helpers read an element as its n x n grid of ``Poly`` entries and build one
 back from such a grid; ``raw_gap`` compares elements to rounding.
 ``poly_at`` evaluates such an entry, and ``leibniz_extension`` extends a
 global derivation from its generator values to any element.
+
+The rest redo, one matrix or one row at a time, what the library batches:
+``svd_grid_norms`` decomposes every grid point of the realized matrix,
+``sampled_leibniz`` takes the spectral norm of each sampled Leibniz
+residual on its own, and ``norm_l1_by_row`` sums each entry on its trimmed
+row.
 """
 
 from __future__ import annotations
@@ -16,9 +22,10 @@ from functools import cache
 import numpy as np
 
 from cyclealg.algebra import CycleElement, gen_Z, monomial_elem, mul_elem
-from cyclealg.algebra import zero
+from cyclealg.algebra import random_element, zero
 from cyclealg.errors import DimensionMismatch
-from cyclealg.poly import Poly, complex_from_json
+from cyclealg.poly import Poly, complex_from_json, eval_at_unit_roots
+from cyclealg.representations import eval_rep
 
 
 def entries(a: CycleElement) -> tuple[tuple[Poly, ...], ...]:
@@ -102,3 +109,36 @@ def leibniz_extension(D, a: CycleElement) -> CycleElement:
     for i, j, d in zip(*(x.tolist() for x in np.nonzero(a.coeffs))):
         out = out + path_value(i, (j - i) % n + d * n) * a.coeffs[i, j, d]
     return out
+
+
+def svd_grid_norms(a: CycleElement, grid: int) -> np.ndarray:
+    """Largest singular value of the realized matrix at each grid point,
+    from the z-coefficients of every entry and one decomposition per
+    point."""
+    values = eval_at_unit_roots(a.realized_coeffs(), grid)
+    return np.linalg.svd(np.moveaxis(values, 2, 0), compute_uv=False)[:, 0]
+
+
+def sampled_leibniz(D, point, n: int, trials: int, seed: int, deg: int = 6):
+    """``check_leibniz`` one trial at a time: the draws, products and D
+    calls of the library, and one ``np.linalg.norm(m, 2)`` per residual,
+    folded into a running Python max from 0.0."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        a = random_element(n, rng, deg=deg, normalize=True)
+        b = random_element(n, rng, deg=deg, normalize=True)
+        ab = mul_elem(a, b)
+        resid = D(ab) - D(a) @ eval_rep(point, b) - eval_rep(point, a) @ D(b)
+        worst = max(worst, float(np.linalg.norm(resid, 2)))
+    return worst
+
+
+def norm_l1_by_row(a: CycleElement) -> float:
+    """The largest coefficient l1 sum, each entry summed on its own
+    trimmed row."""
+    rows = a.coeffs.reshape(a.n**2, a.coeffs.shape[2])
+    return max(
+        float(np.sum(np.abs(c[:end])))
+        for c, end in zip(rows, a.ends.ravel().tolist())
+    )

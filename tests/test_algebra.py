@@ -32,8 +32,8 @@ from cyclealg.config import EPS_COEFF
 from cyclealg.derivations import canonical_kernel_elements
 from cyclealg.poly import Poly, _trim
 
-from oracles import entries, from_rows, poly_at, poly_from_json, raw_gap
-from oracles import realize
+from oracles import entries, from_rows, norm_l1_by_row, poly_at
+from oracles import poly_from_json, raw_gap, realize, svd_grid_norms
 
 
 def realized_product(a: CycleElement, b: CycleElement) -> np.ndarray:
@@ -406,18 +406,79 @@ def test_spectral_norms_keep_the_leading_shape():
     assert_exact_where_it_counts(stack)
 
 
+def one_entry_per_line(n: int, rng) -> list[CycleElement]:
+    """Elements with at most one nonzero entry in each row and column:
+    the generators, scaled monomials, the identity, a degree-4096 diagonal
+    element, the canonical kernel elements and, at n = 2, the permutation
+    Z_1 + Z_2."""
+    es, Zs = generators(n)
+    elems = [
+        *es,
+        *Zs,
+        monomial_elem(n, 1, n, 3, 2.5 - 1j),
+        monomial_elem(n, n, 1, 0, -1e-3j),
+        identity(n),
+        diagonal(n, rng.uniform(-1, 1, 4097) + 1j * rng.uniform(-1, 1, 4097)),
+        *canonical_kernel_elements(n, np.exp(0.7j)),
+    ]
+    if n == 2:
+        elems.append(gen_Z(2, 1) + gen_Z(2, 2))
+    return elems
+
+
+NORM_GRIDS = (1, 7, 512, 4099)  # 512 shares a factor with every even n
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_grid_norms_of_one_entry_per_line_match_the_svd_oracle(n):
+    rng = np.random.default_rng(200 + n)
+    for a in one_entry_per_line(n, rng):
+        for grid in NORM_GRIDS:
+            got, want = grid_norms(a, grid), svd_grid_norms(a, grid)
+            assert got.shape == want.shape == (grid,)
+            assert np.max(np.abs(got - want)) <= 1e-14 * want.max()
+
+
+def test_one_entry_per_line_takes_no_decomposition(monkeypatch):
+    from cyclealg import algebra
+
+    calls = []
+
+    def counted(stack, *args, **kwargs):
+        calls.append(stack.shape)
+        return spectral_norms(stack, *args, **kwargs)
+
+    monkeypatch.setattr(algebra, "spectral_norms", counted)
+    monkeypatch.setattr(
+        np.linalg, "svd", lambda *a, **k: pytest.fail("svd called")
+    )
+    rng = np.random.default_rng(210)
+    for n in (1, 2, 3, 8):
+        for a in one_entry_per_line(n, rng):
+            for grid in (7, 512):
+                norm(a, grid)
+                grid_norms(a, grid)
+    assert calls == []
+    monkeypatch.undo()
+    monkeypatch.setattr(algebra, "spectral_norms", counted)
+    # a dense element, and two entries in one row, still go to the
+    # decomposition
+    for a in (random_element(3, rng, deg=4), gen_e(2, 1) + gen_Z(2, 1)):
+        assert norm(a, 64) == svd_grid_norms(a, 64).max()
+    assert calls == [(64, 3, 3), (64, 2, 2)]
+
+
 def test_norm_is_the_max_of_grid_norms_bit_for_bit():
     rng = np.random.default_rng(99)
-    for n in (1, 2, 3, 5):
+    for n in (1, 2, 3, 5, 8):
         elems = [
             zero(n),
-            identity(n),
-            *canonical_kernel_elements(n, np.exp(0.7j)),
+            *one_entry_per_line(n, rng),
             random_element(n, rng, deg=8),
             random_element(n, rng, deg=3, scale=1e150),
         ]
         for a in elems:
-            for grid in (1, 7, 512):
+            for grid in NORM_GRIDS:
                 assert norm(a, grid) == grid_norms(a, grid).max()
 
 
@@ -464,6 +525,36 @@ def test_random_element_normalized():
     a = random_element(2, rng, deg=5, normalize=True)
     mass = max(np.abs(p.coeffs).sum() for row in entries(a) for p in row)
     assert mass <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_norm_l1_matches_the_row_by_row_sum(n):
+    from cyclealg.representations import DiagZero, Lambda, kernel_sample
+
+    # bit for bit on every draw of random_element and kernel_sample
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        for deg in (0, 3, 6, 8, 12):
+            for scale in (1.0, 1e-3, 1e200):
+                a = random_element(n, rng, deg=deg, scale=scale)
+                assert a.norm_l1 == norm_l1_by_row(a)
+                a = random_element(n, rng, deg=deg, normalize=True)
+                assert a.norm_l1 == norm_l1_by_row(a)
+        for point in (Lambda(0.45 - 0.3j), Lambda(0), DiagZero(1)):
+            for k in kernel_sample(point, n, seed=seed, count=10):
+                assert k.norm_l1 == norm_l1_by_row(k)
+    assert zero(n).norm_l1 == norm_l1_by_row(zero(n)) == 0.0
+    # rows trimmed by hand inside an array of 8 or more slots: numpy sums
+    # such a row pairwise, where the oracle sums the trimmed row alone, so
+    # the last bits may move (2 ulp at most seen over n = 1-8)
+    rng = np.random.default_rng(80 + n)
+    for _ in range(40):
+        L = int(rng.integers(8, 40))
+        c = rng.uniform(-1, 1, (n, n, L)) + 1j * rng.uniform(-1, 1, (n, n, L))
+        c[np.arange(L) >= rng.integers(0, L + 1, (n, n, 1))] = 0
+        a = CycleElement(n, c)
+        want = norm_l1_by_row(a)
+        assert abs(a.norm_l1 - want) <= 4 * np.spacing(want)
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,8 @@ from cyclealg.errors import DimensionMismatch, GridTooSmall
 from cyclealg.representations import DiagZero, Lambda, eval_rep, kernel_sample
 from cyclealg.representations import generator_images
 
+from oracles import sampled_leibniz
+
 
 def random_matrix(rng, n):
     return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -188,6 +190,52 @@ def test_leibniz_longer_runs_extend_the_same_sample():
     ]
     assert values[0] >= 1e-4
     assert values == sorted(values)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_check_leibniz_matches_the_per_trial_loop_bit_for_bit(n):
+    # the one batched decision reads the max of one decomposition per
+    # trial, on commutator data (noise), random data (large residuals) and
+    # a map that is not a derivation, at both kinds of point
+    rng = np.random.default_rng(300 + n)
+    for point in (Lambda(0.45 - 0.3j), Lambda(0.0), DiagZero(1)):
+        d = 1 if isinstance(point, DiagZero) else n
+        values = rng.normal(size=(2 * n, d, d, 2)) @ [1.0, 1j]
+        maps = [
+            GenDerivation.from_commutator(point, random_matrix(rng, n), n),
+            GenDerivation(point, tuple(values[:n]), tuple(values[n:])),
+        ]
+        maps = [D.apply for D in maps] + [lambda a: eval_rep(point, a)]
+        for D in maps:
+            for seed in range(5):
+                for trials in (0, 1, 7):
+                    got = check_leibniz(D, point, n, trials=trials, seed=seed)
+                    want = sampled_leibniz(D, point, n, trials, seed)
+                    assert got == want
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_leibniz_reads_a_non_finite_residual_as_inf(bad):
+    point = Lambda(0.4)
+    calls = []
+
+    def spoiled(a):
+        # one bad entry in the 5th D call, which belongs to the 2nd trial
+        calls.append(None)
+        out = delta_X(point, np.eye(2), a)
+        if len(calls) == 5:
+            out[0, 1] = bad
+        return out
+
+    assert check_leibniz(spoiled, point, 2, trials=3, seed=0) == np.inf
+    # every D call of a trial reads the same spoiled value
+    spoiled_all = lambda a: np.full((2, 2), bad, dtype=complex)
+    for trials in (1, 4):
+        got = check_leibniz(spoiled_all, point, 2, trials=trials, seed=0)
+        assert got == np.inf
+    # no trial reads 0.0, whatever D is
+    assert check_leibniz(spoiled_all, point, 2, trials=0, seed=0) == 0.0
 
 
 # ----------------------------------------------------------------------
