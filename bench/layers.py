@@ -1,7 +1,7 @@
 """Per-layer timings of the point-derivation path, one column per checkout.
 
     python bench/layers.py --column parent=../parent/src --column change=src \
-        --out BENCH_23.json
+        --out BENCH_24.json
 
 Each ``--column LABEL=SRC`` imports ``cyclealg`` from the directory SRC in
 a fresh interpreter (BLAS pinned to one thread) and times, at n = 1, 2, 4
@@ -29,8 +29,16 @@ and 6 on fixed seeded inputs:
 - ``mul_elem``, ``CycleElement.__sub__`` of two degree-6 elements, and
   ``CycleElement.to_json`` of the first,
 - ``kernel_sample`` of 20 degree-6 elements at the same Lambda point,
+- ``kernel_vanishing_test`` of the entrywise derivative data at that point
+  on 20 such samples, at n = 6 only (the ``not_inner`` certificate of
+  ``inner-check``),
+- the canonicalization ``poly._trim`` on a dense seeded (3, 3, 7) array
+  (every row's last slot passes) and on a (3, 3, 7) monomial (one entry
+  of 7 coefficients, every other entry zero), keyed ``n3``,
 - ``kernel_square_witness`` with budget 2 on a degree-2 kernel sample at
-  ``DiagZero(1)``, at n = 2, 3, 4 and 6 instead,
+  ``DiagZero(1)``, at n = 2, 3, 4 and 6 instead, and the ``kernel-witness``
+  command through ``cli.main`` on the n = 4 sample (report written to the
+  null device; about 0.3 MB of JSON, the largest ``classify`` report),
 - ``inner_solve`` of seeded random 1 x 1 data at ``DiagZero(1)``, at n = 1,
   3 and 6 instead,
 - ``inner_solve`` of commutator data at the same interior Lambda point at
@@ -111,12 +119,14 @@ def measure(src: str) -> dict:
     from cyclealg.algebra import element_from_json, gen_Z, generators
     from cyclealg.algebra import grid_norms, mul_elem, norm
     from cyclealg.algebra import parse_realized, random_element, zero
-    from cyclealg.derivations import GenDerivation, check_leibniz, inner_solve
+    from cyclealg.derivations import F_point_derivation, GenDerivation
+    from cyclealg.derivations import check_leibniz, inner_solve
     from cyclealg.derivations import boundary_approx_identity
+    from cyclealg.derivations import kernel_vanishing_test
     from cyclealg.derivations import canonical_kernel_elements
     from cyclealg.derivations import gen_derivation_from_json
     from cyclealg.derivations import relation_residual
-    from cyclealg.poly import Poly
+    from cyclealg.poly import Poly, _trim
     from cyclealg.reconstruction import (
         GlobalDerivation,
         global_derivation_from_json,
@@ -174,6 +184,23 @@ def measure(src: str) -> dict:
         }
         for name, fn in cases.items():
             out.setdefault(name, {})[f"n{n}"] = median_call(fn)
+    es, Zs = generators(6)
+    derivative = GenDerivation(
+        point,
+        tuple(F_point_derivation(POINT, e) for e in es),
+        tuple(F_point_derivation(POINT, Z) for Z in Zs),
+    )
+    samples = kernel_sample(point, 6, seed=1, count=20)
+    out["kernel_vanishing_test(count=20)"] = {
+        "n6": median_call(
+            lambda: kernel_vanishing_test(derivative.apply, samples)
+        )
+    }
+    dense = np.random.default_rng(590).normal(size=(3, 3, 7, 2)) @ [1.0, 1j]
+    monomial = np.zeros((3, 3, 7), dtype=complex)
+    monomial[0, 1] = dense[0, 1]
+    out["_trim(dense)"] = {"n3": median_call(lambda: _trim(dense))}
+    out["_trim(monomial)"] = {"n3": median_call(lambda: _trim(monomial))}
     for n in KERNEL_SIZES:
         k = kernel_sample(DiagZero(1), n, seed=600 + n, count=1, deg=2)[0]
         out.setdefault("kernel_square_witness", {})[f"n{n}"] = median_call(
@@ -288,6 +315,15 @@ def measure(src: str) -> dict:
         out["parse_args(inner-check)"] = {
             "any": median_call(lambda: cli._build_parser().parse_args(argv))
         }
+        k = kernel_sample(DiagZero(1), 4, seed=604, count=1, deg=2)[0]
+        doc = {"point": {"kind": "diag0", "i": 1}, "element": k.to_json()}
+        path = Path(tmp, "witness4.json")
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["kernel-witness", "--input", str(path)]
+        argv += ["--output", os.devnull]
+        if cli.main(argv) != 0:
+            raise RuntimeError("kernel-witness failed at n = 4")
+        out["kernel-witness"] = {"n4": median_call(lambda: cli.main(argv))}
         for n in LADDER_SIZES:
             path = Path(tmp, f"ladder{n}.json")
             doc = {"lambda": [lam.real, lam.imag], "n": n, "k_values": LADDER}

@@ -18,7 +18,7 @@ trims a row, every slot past an entry's end holds +0.0, and L is the length
 of the longest entry.  Every operation that makes an element (sums,
 differences, negation, scalar and algebra products, random draws, the JSON
 reader) writes one raw array and hands it to the one constructor, which
-trims it.  Every element API takes or returns coefficient arrays: a
+trims it; random draws fill the raw arrays of a whole batch in one call.  Every element API takes or returns coefficient arrays: a
 diagonal entry is one coefficient row, and an element is realized in z as
 the (n, n, L') array ``realized_coeffs`` and read back by
 ``parse_realized``.
@@ -346,10 +346,13 @@ def spectral_norms(stack: np.ndarray, floor: float = np.inf) -> np.ndarray:
     min(that norm, floor) * (1 - 1e-12).  The margin is far above the
     rounding of either norm, so a skipped matrix cannot round above the
     result.  A zero bound belongs to a zero matrix and is its norm.  A
-    lone matrix is its own max, so it is decomposed without a bound.
+    lone matrix is its own max, so it is decomposed without a bound.  An
+    empty stack gives an empty array of its leading shape.
     """
     stack = np.asarray(stack)
     flat = stack.reshape(-1, *stack.shape[-2:])
+    if not len(flat):
+        return np.zeros(stack.shape[:-2])
     if len(flat) == 1:
         return _largest_singular_values(flat).reshape(stack.shape[:-2])
     # the real and imaginary parts of each matrix in one row
@@ -376,12 +379,17 @@ def _entry_moduli(a: CycleElement, grid: int) -> np.ndarray | None:
     Matrix Computations, 2.3), and |z**s f(z**n)| = |f(z**n)| on the unit
     circle.  So the k <= n nonzero entries are transformed in w alone, and
     grid point t reads their largest modulus at the grid point n t mod
-    grid, which is z**n.  Returns None for any other element.
+    grid, which is z**n.  When all of them are equal, as on a diagonal
+    element such as F_k = h_k 1, one of them is transformed.  Returns None
+    for any other element.
     """
     nonzero = a.ends > 0
     if nonzero.sum(axis=0).max() > 1 or nonzero.sum(axis=1).max() > 1:
         return None
-    values = eval_at_unit_roots(a.coeffs[nonzero], grid)
+    rows = a.coeffs[nonzero]
+    if len(rows) > 1 and (rows[1:] == rows[0]).all():
+        rows = rows[:1]
+    values = eval_at_unit_roots(rows, grid)
     moduli = np.abs(values).max(axis=0, initial=0.0)
     return moduli[a.n * np.arange(grid) % grid]
 
@@ -392,7 +400,8 @@ def grid_norms(a: CycleElement, grid: int = config.NORM_GRID) -> np.ndarray:
     Entry t is the norm at exp(2*pi*i*t/grid).  An element with at most
     one nonzero entry in each row and column (a generator, a monomial, a
     diagonal element such as ``identity``) reads it as the largest entry
-    modulus, from one transform of its entries' w-coefficient rows; any
+    modulus, from one transform of its entries' w-coefficient rows, or of
+    one row when they are all equal (``identity``, the ladder's F_k); any
     other element takes the largest singular value of every grid point in
     one batched singular-value decomposition.
     """
@@ -435,14 +444,47 @@ def random_element(
     scale: float = 1.0,
     normalize: bool = False,
 ) -> CycleElement:
-    """Dense random element; coefficients uniform in the complex unit box."""
-    coeffs = rng.uniform(-1.0, 1.0, size=(n, n, deg + 1, 2))
-    a = CycleElement(n, (coeffs[..., 0] + 1j * coeffs[..., 1]) * scale)
+    """Dense random element; coefficients uniform in the complex unit box.
+
+    With ``normalize`` the element is scaled by 1 / ``norm_l1`` (a zero
+    element stays zero).  ``_random_elements`` with count 1, bit for bit.
+    """
+    return _random_elements(n, rng, 1, deg, scale, normalize)[0]
+
+
+def _random_elements(
+    n: int,
+    rng: np.random.Generator,
+    count: int,
+    deg: int,
+    scale: float = 1.0,
+    normalize: bool = False,
+) -> list[CycleElement]:
+    """count draws of ``random_element``, bit for bit, from one draw.
+
+    One ``rng.uniform`` call fills all count elements; numpy's generator
+    fills an array in order, so it reads the values of count calls in turn.
+    With ``normalize`` the stack is canonicalized once and every element
+    scaled by 1 / its ``norm_l1``.  numpy sums a row of 8 or more slots
+    pairwise, so a sum depends on the row's length: an element whose own
+    canonical length is shorter than the stack's is summed on its own
+    length, as ``norm_l1`` sums it.
+    """
+    parts = rng.uniform(-1.0, 1.0, size=(count, n, n, deg + 1, 2))
+    stack = (parts[..., 0] + 1j * parts[..., 1]) * scale
     if normalize:
-        top = a.norm_l1
-        if top > 0:
-            a = CycleElement(n, a.coeffs * (1.0 / top))
-    return a
+        stack, ends = _trim(stack)
+        widths = ends.max(axis=(1, 2), initial=0)
+        tops = np.abs(stack).sum(axis=3).max(axis=(1, 2), initial=0.0)
+        for i in np.flatnonzero(widths < stack.shape[3]):
+            tops[i] = np.abs(stack[i, ..., : widths[i]]).sum(axis=2).max(
+                initial=0.0
+            )
+        # a zero element (or a NaN mass) is left as drawn, not scaled by 1
+        scaled = (tops > 0)[:, None, None, None]
+        factors = np.divide(1.0, tops, out=np.ones(count), where=tops > 0)
+        stack = np.where(scaled, stack * factors[:, None, None, None], stack)
+    return [CycleElement(n, c) for c in stack]
 
 
 def element_from_json(data: dict) -> CycleElement:

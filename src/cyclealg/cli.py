@@ -17,8 +17,12 @@ Exit codes: 0 success, 1 negative verdict, 2 input error (an unwritable
 Reports embed the resolved configuration and library version and are byte
 stable for a fixed seed and configuration.  One encoder, ``_dumps``, writes
 every JSON report, byte for byte as ``json.dumps(report, sort_keys=True,
-indent=2, allow_nan=False)``.  The argument parser is built on the first
-``main`` call and reused by every later call in the process.
+indent=2, allow_nan=False)``.  It dispatches on the exact type of each
+node, and writes a list of floats or of [re, im] float pairs (matrices,
+coefficient rows, residual columns) in one join, recognized from its
+first item; an empty entry list is written inline.  The argument parser
+is built on the first ``main`` call and reused by every later call in the
+process.
 """
 
 from __future__ import annotations
@@ -354,19 +358,32 @@ _ESCAPE = json.encoder.encode_basestring_ascii
 
 
 def _float_list(items, nl: str) -> str | None:
-    """The body of a list of floats, or of [re, im] float pairs, or None."""
-    pairs = set(map(type, items)) <= {list, tuple}
-    try:
-        if pairs and set(map(len, items)) == {2}:
-            flat = map(float.__repr__, chain.from_iterable(items))
-            pair = nl + "  "
-            body = (nl + "]," + nl + "[" + pair).join(
-                map(("," + pair).join, zip(flat, flat))
-            )
-            body = "[" + pair + body + nl + "]"
-        else:
-            body = ("," + nl).join(map(float.__repr__, items))
-    except TypeError:  # an item that is not a float
+    """The body of a list of floats, or of [re, im] float pairs, or None.
+
+    The kind is read off the first item; the whole list is then checked by
+    type, so a list of anything else returns None without raising.
+    """
+    first = items[0]
+    kind = type(first)
+    if kind is float:
+        if set(map(type, items)) != {float}:
+            return None
+        body = ("," + nl).join(map(float.__repr__, items))
+    elif (kind is list or kind is tuple) and len(first) == 2:
+        if (
+            type(first[0]) is not float
+            or not set(map(type, items)) <= {list, tuple}
+            or set(map(len, items)) != {2}
+            or set(map(type, chain.from_iterable(items))) != {float}
+        ):
+            return None
+        flat = map(float.__repr__, chain.from_iterable(items))
+        pair = nl + "  "
+        body = (nl + "]," + nl + "[" + pair).join(
+            map(("," + pair).join, zip(flat, flat))
+        )
+        body = "[" + pair + body + nl + "]"
+    else:
         return None
     # the repr of a finite float has no "n"; "nan", "inf" and "-inf" do
     return None if "n" in body else body
@@ -377,36 +394,42 @@ def _dumps(obj, nl: str = "\n") -> str:
 
     Byte for byte, including its errors: a non-finite float raises
     ``ValueError``.  ``nl`` is the newline and indentation of obj's depth.
+    The branches dispatch on the exact type, lists first, as reports are
+    mostly lists; an empty list is written inline.  Anything else (None,
+    booleans, subclasses such as numpy floats, a non-finite float, a key
+    that is not a string, a type JSON lacks) is handed to ``json.dumps``.
     """
-    if isinstance(obj, str):
-        return _ESCAPE(obj)
-    if obj is None:
-        return "null"
-    if obj is True or obj is False:
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        text = float.__repr__(obj)
-        if "n" not in text:
-            return text
-    inner = nl + "  "
-    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+    kind = type(obj)
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        body = _float_list(obj, inner)
+        if body is None:
+            body = ("," + inner).join(
+                [
+                    "[]" if type(v) is list and not v else _dumps(v, inner)
+                    for v in obj
+                ]
+            )
+        return "[" + inner + body + nl + "]"
+    if kind is dict and set(map(type, obj)) <= {str}:
         if not obj:
             return "{}"
+        inner = nl + "  "
         items = sorted(obj.items())
         body = ("," + inner).join(
             [f"{_ESCAPE(k)}: {_dumps(v, inner)}" for k, v in items]
         )
         return "{" + inner + body + nl + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        body = _float_list(obj, inner)
-        if body is None:
-            body = ("," + inner).join([_dumps(v, inner) for v in obj])
-        return "[" + inner + body + nl + "]"
-    # a non-finite float, a key that is not a string, a type JSON lacks
+    if kind is str:
+        return _ESCAPE(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is float:
+        text = float.__repr__(obj)
+        if "n" not in text:
+            return text
     text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     return text.replace("\n", nl)
 

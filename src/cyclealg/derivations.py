@@ -41,10 +41,10 @@ import numpy as np
 from . import config
 from .algebra import (
     CycleElement,
+    _random_elements,
     diagonal,
     grid_norms,
     mul_elem,
-    random_element,
     spectral_norms,
 )
 from .errors import DimensionMismatch, GridTooSmall
@@ -151,6 +151,23 @@ class GenDerivation:
         Q = csum[nxt[:, None] + rem] - csum[nxt][:, None]
         return VZ[idx, :, nxt].T, VZ[idx - 1, idx - 1, :], s.sum(), Q
 
+    @cached_property
+    def _length_weights(self) -> dict[int, np.ndarray]:
+        """The (L - 2, 2) weights of ``apply`` per realized length L."""
+        return {}
+
+    def _weights(self, length: int) -> np.ndarray:
+        """[lam**(m-1), lam**(m-1) ((m-2)//n)] for m = 2..L-1, made once
+        per length."""
+        weights = self._length_weights.get(length)
+        if weights is None:
+            weight = powers(self.point.value, length)[1:-1]  # lam**(m-1)
+            k = np.arange(len(weight))  # m - 2
+            weights = np.stack([weight, weight * (k // self.n)], axis=1)
+            weights.flags.writeable = False
+            self._length_weights[length] = weights
+        return weights
+
     def apply(self, a: CycleElement) -> np.ndarray:
         """Extend the generator values to an arbitrary element.
 
@@ -174,9 +191,7 @@ class GenDerivation:
         if isinstance(self.point, DiagZero) or R.shape[2] == 2:
             return out
         F, G, total, Q = self._path_weights
-        weight = powers(self.point.value, R.shape[2])[1:-1]  # lam**(m-1)
-        k = np.arange(len(weight))  # m - 2
-        sums = R[:, :, 2:] @ np.stack([weight, weight * (k // n)], axis=1)
+        sums = R[:, :, 2:] @ self._weights(R.shape[2])
         S0, S1 = sums[:, :, 0], sums[:, :, 1]
         return out + F @ S0 + S0 @ G + total * S1 + Q * S0
 
@@ -224,10 +239,6 @@ def F_point_derivation(lam: complex, a: CycleElement) -> np.ndarray:
     return np.polynomial.polynomial.polyval(lam, np.moveaxis(der, 2, 0))
 
 
-def _spectral(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m, 2))
-
-
 def check_leibniz(
     D: Callable[[CycleElement], np.ndarray],
     point: RepPoint,
@@ -247,10 +258,9 @@ def check_leibniz(
     inf, so the result never passes a bound it did not meet.
     """
     rng = np.random.default_rng(seed)
+    draws = _random_elements(n, rng, 2 * trials, deg, normalize=True)
     residuals = []
-    for _ in range(trials):
-        a = random_element(n, rng, deg=deg, normalize=True)
-        b = random_element(n, rng, deg=deg, normalize=True)
+    for a, b in zip(draws[::2], draws[1::2]):
         ab = mul_elem(a, b)
         residuals.append(
             D(ab) - D(a) @ eval_rep(point, b) - eval_rep(point, a) @ D(b)
@@ -416,12 +426,19 @@ def kernel_vanishing_test(
     """Max of the spectral norm of D over the given kernel samples.
 
     Inner derivations vanish on the kernel of their point, so a sample with
-    a large value certifies that no inner witness exists.
+    a large value certifies that no inner witness exists.  The values of
+    all samples are decided in one ``spectral_norms`` call with floor 0.0,
+    so each is that of a full decomposition, bit for bit; a value with a
+    non-finite entry reads inf, as in ``check_leibniz``.
     """
-    values = tuple(_spectral(D(k)) for k in samples)
-    if not values:
+    if not samples:
         return KernelVanishing(0.0, -1, None, ())
-    worst = int(np.argmax(values))
+    stack = np.stack([D(k) for k in samples])
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    norms = np.full(len(samples), math.inf)
+    norms[finite] = spectral_norms(stack[finite], floor=0.0)
+    values = tuple(norms.tolist())
+    worst = int(np.argmax(norms))
     return KernelVanishing(values[worst], worst, samples[worst], values)
 
 

@@ -45,13 +45,24 @@ def _trim(stack) -> tuple[np.ndarray, np.ndarray]:
     +0.0, and the columns past the longest row are dropped.  Both results
     are read-only and own their data, so the caller may go on writing to
     its own array.
+
+    When the last slot of every row passes, as in every dense draw and
+    product, the canonical form is a copy and every end is the full length;
+    that case skips the search.  A stack with no rows has width 0.
     """
     c = np.asarray(stack, dtype=complex)
     length = c.shape[-1]
+    moduli = np.abs(c)
+    if c.size and moduli[..., -1].min() > config.EPS_COEFF:
+        canonical = c.copy()
+        ends = np.full(c.shape[:-1], length)
+        canonical.flags.writeable = False
+        ends.flags.writeable = False
+        return canonical, ends
     # a True column in front of the test marks the end of a row in which no
     # coefficient passes, so the last True of each row is found by argmax
     big = np.ones(c.shape[:-1] + (length + 1,), dtype=bool)
-    np.greater(np.abs(c), config.EPS_COEFF, out=big[..., 1:])
+    np.greater(moduli, config.EPS_COEFF, out=big[..., 1:])
     ends = np.asarray(length - big[..., ::-1].argmax(axis=-1))
     top = int(ends.max(initial=0))
     canonical = np.where(np.arange(top) < ends[..., None], c[..., :top], 0j)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CycleElement, _grid_values, random_element
+from .algebra import CycleElement, _grid_values, _random_elements
 from .errors import DimensionMismatch
 from .poly import _complex_pairs, complex_from_json, eval_at_unit_roots
 from .poly import int_from_json, powers
@@ -151,8 +151,7 @@ def kernel_sample(
         raise TypeError(f"not a representation point: {point!r}")
     rng = np.random.default_rng(seed)
     out = []
-    for _ in range(count):
-        g = random_element(n, rng, deg=deg, scale=scale)
+    for g in _random_elements(n, rng, count, deg, scale):
         if g.is_zero:
             raise ValueError(f"a kernel draw at scale {scale:g} trims to zero")
         stack = np.zeros((n, n, deg + 2), dtype=complex)

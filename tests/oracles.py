@@ -11,8 +11,12 @@ global derivation from its generator values to any element.
 The rest redo, one matrix or one row at a time, what the library batches:
 ``svd_grid_norms`` decomposes every grid point of the realized matrix,
 ``sampled_leibniz`` takes the spectral norm of each sampled Leibniz
-residual on its own, and ``norm_l1_by_row`` sums each entry on its trimmed
-row.
+residual on its own, ``norm_l1_by_row`` sums each entry on its trimmed
+row, ``trim_by_search`` canonicalizes every stack by the search for each
+row's end, ``draws_one_by_one`` draws, canonicalizes and normalizes one
+random element at a time, ``kernel_values_one_by_one`` takes the spectral
+norm of D on each kernel sample on its own, and ``entry_moduli_of_every_row``
+transforms every nonzero entry of a one-entry-per-line element.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import numpy as np
 from cyclealg.algebra import CycleElement, gen_Z, monomial_elem, mul_elem
 from cyclealg.algebra import random_element, zero
 from cyclealg.errors import DimensionMismatch
+from cyclealg.config import EPS_COEFF
 from cyclealg.poly import Poly, complex_from_json, eval_at_unit_roots
 from cyclealg.representations import eval_rep
 
@@ -142,3 +147,47 @@ def norm_l1_by_row(a: CycleElement) -> float:
         float(np.sum(np.abs(c[:end])))
         for c, end in zip(rows, a.ends.ravel().tolist())
     )
+
+
+def trim_by_search(stack) -> tuple[np.ndarray, np.ndarray]:
+    """``poly._trim`` with no dense fast path: every row's end is searched
+    for, and the canonical form is written by one ``np.where``."""
+    c = np.asarray(stack, dtype=complex)
+    length = c.shape[-1]
+    big = np.ones(c.shape[:-1] + (length + 1,), dtype=bool)
+    np.greater(np.abs(c), EPS_COEFF, out=big[..., 1:])
+    ends = np.asarray(length - big[..., ::-1].argmax(axis=-1))
+    top = int(ends.max(initial=0))
+    canonical = np.where(np.arange(top) < ends[..., None], c[..., :top], 0j)
+    return canonical, ends
+
+
+def draws_one_by_one(n: int, rng, count: int, deg: int, scale: float = 1.0,
+                     normalize: bool = False) -> list[CycleElement]:
+    """count random elements, one ``rng.uniform`` call, one constructor and
+    one ``norm_l1`` each, as ``random_element`` drew them one at a time."""
+    out = []
+    for _ in range(count):
+        coeffs = rng.uniform(-1.0, 1.0, size=(n, n, deg + 1, 2))
+        a = CycleElement(n, (coeffs[..., 0] + 1j * coeffs[..., 1]) * scale)
+        if normalize:
+            top = a.norm_l1
+            if top > 0:
+                a = CycleElement(n, a.coeffs * (1.0 / top))
+        out.append(a)
+    return out
+
+
+def kernel_values_one_by_one(D, samples) -> tuple[float, ...]:
+    """The spectral norm of D on each sample, one ``np.linalg.norm(m, 2)``
+    per sample."""
+    return tuple(float(np.linalg.norm(D(k), 2)) for k in samples)
+
+
+def entry_moduli_of_every_row(a: CycleElement, grid: int) -> np.ndarray:
+    """Grid norms of an element with at most one nonzero entry in each row
+    and column: every nonzero entry transformed, equal ones included, and
+    the largest modulus read at z**n."""
+    values = eval_at_unit_roots(a.coeffs[a.ends > 0], grid)
+    moduli = np.abs(values).max(axis=0, initial=0.0)
+    return moduli[a.n * np.arange(grid) % grid]

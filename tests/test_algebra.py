@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cyclealg.algebra import (
     CycleElement,
+    _random_elements,
     diagonal,
     element_from_json,
     gen_Z,
@@ -29,11 +30,13 @@ from cyclealg.algebra import (
 )
 from cyclealg.errors import DimensionMismatch, NotInAlgebra
 from cyclealg.config import EPS_COEFF
+from cyclealg.derivations import boundary_approx_identity
 from cyclealg.derivations import canonical_kernel_elements
 from cyclealg.poly import Poly, _trim
 
-from oracles import entries, from_rows, norm_l1_by_row, poly_at
-from oracles import poly_from_json, raw_gap, realize, svd_grid_norms
+from oracles import draws_one_by_one, entries, entry_moduli_of_every_row
+from oracles import from_rows, norm_l1_by_row, poly_at, poly_from_json
+from oracles import raw_gap, realize, svd_grid_norms
 
 
 def realized_product(a: CycleElement, b: CycleElement) -> np.ndarray:
@@ -398,6 +401,13 @@ def test_spectral_norms_survive_rounding_inversions():
             assert_exact_where_it_counts(np.stack([a, a * (1 + k * eps)]))
 
 
+@pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 2, 2), (0, 1, 1)])
+def test_spectral_norms_of_an_empty_stack(shape):
+    for floor in (np.inf, 0.0):
+        got = spectral_norms(np.zeros(shape, dtype=complex), floor)
+        assert got.shape == shape[:-2] and got.dtype == float
+
+
 def test_spectral_norms_keep_the_leading_shape():
     rng = np.random.default_rng(98)
     stack = rng.normal(size=(3, 2, 4, 5, 5))
@@ -468,6 +478,44 @@ def test_one_entry_per_line_takes_no_decomposition(monkeypatch):
     assert calls == [(64, 3, 3), (64, 2, 2)]
 
 
+def test_equal_entries_are_transformed_once_bit_for_bit(monkeypatch):
+    # a diagonal element with one row on every diagonal position (the
+    # identity, F_k = h_k 1, the full-diagonal kernel element) transforms
+    # that row once, and reads the grid norms of every row's transform
+    from cyclealg import algebra
+
+    rng = np.random.default_rng(215)
+    lam = np.exp(0.7j)
+    for n in (1, 2, 3, 8):
+        row = rng.uniform(-1, 1, 4097) + 1j * rng.uniform(-1, 1, 4097)
+        Fs, _ = boundary_approx_identity(lam, [1, 64, 4096], n)
+        equal = [
+            identity(n), diagonal(n, row), diagonal(n, -0.0 * row),
+            canonical_kernel_elements(n, lam)[0], *Fs,
+        ]
+        shifted = row.copy()
+        shifted[5] += 1e-15  # unequal rows take the transform of each
+        unequal = np.zeros((n, n, 4097), dtype=complex)
+        unequal[range(n), range(n)] = row
+        unequal[-1, -1] = shifted
+        others = [*one_entry_per_line(n, rng), CycleElement(n, unequal)]
+        for a in equal + others:
+            for grid in NORM_GRIDS:
+                got = grid_norms(a, grid)
+                want = entry_moduli_of_every_row(a, grid)
+                assert got.tobytes() == want.tobytes()
+                assert norm(a, grid) == want.max()
+    shapes = []
+    transform = algebra.eval_at_unit_roots
+    monkeypatch.setattr(
+        algebra, "eval_at_unit_roots",
+        lambda c, m: shapes.append(c.shape) or transform(c, m),
+    )
+    grid_norms(identity(3), 7)
+    grid_norms(diagonal(3, row) + monomial_elem(3, 3, 3, 5, 1e-3), 7)
+    assert shapes == [(1, 1), (3, 4097)]
+
+
 def test_norm_is_the_max_of_grid_norms_bit_for_bit():
     rng = np.random.default_rng(99)
     for n in (1, 2, 3, 5, 8):
@@ -525,6 +573,51 @@ def test_random_element_normalized():
     a = random_element(2, rng, deg=5, normalize=True)
     mass = max(np.abs(p.coeffs).sum() for row in entries(a) for p in row)
     assert mass <= 1.0 + 1e-12
+
+
+def array_bits(a: CycleElement):
+    return a.n, a.coeffs.shape, a.coeffs.tobytes(), a.ends.tolist()
+
+
+def padded_sum_differs(elements) -> bool:
+    """Whether some element's norm_l1 moves when its array is widened with
+    +0.0 to the longest of them, as in one canonical stack."""
+    width = max(a.coeffs.shape[2] for a in elements)
+    for a in elements:
+        wide = np.zeros((a.n, a.n, width), dtype=complex)
+        wide[..., : a.coeffs.shape[2]] = a.coeffs
+        if np.abs(wide).sum(axis=2).max(initial=0.0) != a.norm_l1:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_batched_draws_match_one_draw_at_a_time(n):
+    # one rng.uniform call for the whole batch reads the values of count
+    # calls in turn; the batch is canonicalized and normalized at once, yet
+    # an element shorter than the batch is summed on its own length, where
+    # numpy's pairwise sum of 8 or more slots can round otherwise
+    moved = 0
+    for seed in range(5):
+        for deg in (0, 3, 6, 8, 12, 16):
+            for scale in (1.0, 1e-3, 2e-9, 1.2e-9, 1e200):
+                for normalize in (False, True):
+                    rng, ref = (np.random.default_rng(seed) for _ in "ab")
+                    got = _random_elements(n, rng, 6, deg, scale, normalize)
+                    want = draws_one_by_one(n, ref, 6, deg, scale, normalize)
+                    assert list(map(array_bits, got)) == list(
+                        map(array_bits, want)
+                    )
+                    assert rng.uniform() == ref.uniform()  # the same state
+                    one = random_element(
+                        n, np.random.default_rng(seed), deg, scale, normalize
+                    )
+                    assert array_bits(one) == array_bits(want[0])
+                    if not normalize:
+                        moved += padded_sum_differs(got)
+    # at n = 1 a draw at scale 1.2e-9 trims its last slot about one time in
+    # two, so there a batch-wide sum would round some elements otherwise
+    assert moved or n > 1
 
 
 @pytest.mark.parametrize("n", range(1, 9))

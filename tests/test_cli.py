@@ -875,6 +875,52 @@ def test_dumps_matches_json_dumps(obj):
     assert _dumps(obj) == expected
 
 
+def _report_docs():
+    """(argv, input) of reports of every shape the commands write: kernel
+    witness factor lists, a reconstructed witness, an approximate-identity
+    ladder and both --split kinds on inner and non-inner data."""
+    from cyclealg.representations import kernel_sample
+
+    rng = np.random.default_rng(23)
+    element = kernel_sample(DiagZero(2), 4, seed=11, count=1, deg=2)[0]
+    witness = {"point": {"kind": "diag0", "i": 2},
+               "element": element.to_json(), "budget": 2}
+    global8 = GlobalDerivation.from_commutator(random_element(8, rng, deg=8))
+    lam = np.exp(0.7j)
+    ladder = {"lambda": [lam.real, lam.imag], "n": 2,
+              "k_values": [2**j for j in range(13)]}
+    docs = [
+        (["kernel-witness"], witness),
+        (["reconstruct", "--deg-max", "12"], global8.to_json()),
+        (["approx-identity"], ladder),
+        (["semisimple"], random_element(3, rng, deg=4).to_json()),
+    ]
+    for data in (inner_data(n=3, lam=0.4 - 0.2j), derivative_data(n=3)):
+        docs.append((["inner-check", "--split"], data))
+    for data in (inner_data(n=4, lam=0.0), derivative_data(n=2, lam=0.0)):
+        docs.append((["inner-check", "--split"], data))
+    return docs
+
+
+def test_dumps_matches_json_dumps_on_report_shapes(tmp_path, monkeypatch):
+    # the hypothesis trees hold at most 25 leaves; real reports hold long
+    # lists of elements, pairs, floats and empty entries
+    from cyclealg import cli
+
+    reports = []
+    monkeypatch.setattr(
+        cli, "_emit", lambda args, report: reports.append(report)
+    )
+    for index, (argv, doc) in enumerate(_report_docs()):
+        path = write(tmp_path, f"in{index}.json", doc)
+        assert main(argv + ["--input", path]) in (0, 1)
+    assert len(reports) == 8
+    assert len(reports[0]["pairs"]) > 100  # the kernel witness factors
+    for report in reports:
+        want = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
+        assert _dumps(report) == want
+
+
 @pytest.mark.parametrize(
     "obj",
     [

@@ -34,7 +34,7 @@ from cyclealg.errors import DimensionMismatch, GridTooSmall
 from cyclealg.representations import DiagZero, Lambda, eval_rep, kernel_sample
 from cyclealg.representations import generator_images
 
-from oracles import sampled_leibniz
+from oracles import kernel_values_one_by_one, sampled_leibniz
 
 
 def random_matrix(rng, n):
@@ -569,6 +569,89 @@ def test_non_inner_data_moves_on_the_kernel():
             inner = GenDerivation.from_commutator(Lambda(lam), X, n)
             vanish = kernel_vanishing_test(inner.apply, samples)
             assert vanish.max_norm < 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_kernel_vanishing_test_matches_the_per_sample_loop_bit_for_bit(n):
+    # the one batched decision with floor 0.0 reads every sample's value
+    # as one decomposition per sample gives it: inner data (noise), non-
+    # inner data, random data and a map that is not a derivation
+    rng = np.random.default_rng(560 + n)
+    for point in (Lambda(0.45 - 0.3j), Lambda(0.0), DiagZero(1)):
+        d = 1 if isinstance(point, DiagZero) else n
+        values = rng.normal(size=(2 * n, d, d, 2)) @ [1.0, 1j]
+        maps = [
+            GenDerivation.from_commutator(point, random_matrix(rng, n), n),
+            GenDerivation(point, tuple(values[:n]), tuple(values[n:])),
+        ]
+        if isinstance(point, Lambda):
+            es, Zs = generators(n)
+            lam = point.value
+            maps.append(GenDerivation(
+                point,
+                tuple(F_point_derivation(lam, e) for e in es),
+                tuple(F_point_derivation(lam, Z) for Z in Zs),
+            ))
+        maps = [D.apply for D in maps] + [lambda a: eval_rep(point, a)]
+        for count in (1, 2, 20):
+            samples = kernel_sample(point, n, seed=count, count=count)
+            for D in maps:
+                got = kernel_vanishing_test(D, samples)
+                want = kernel_values_one_by_one(D, samples)
+                assert got.values == want
+                assert got.max_norm == max(want)
+                assert got.witness_index == int(np.argmax(want))
+                assert got.witness is samples[got.witness_index]
+    empty = kernel_vanishing_test(lambda a: 1 / 0, [])
+    assert (empty.max_norm, empty.witness_index) == (0.0, -1)
+    assert empty.witness is None and empty.values == ()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kernel_vanishing_test_reads_a_non_finite_value_as_inf(bad):
+    point = Lambda(0.4)
+    samples = kernel_sample(point, 2, seed=3, count=4)
+    D = GenDerivation.from_commutator(point, np.eye(2) * 3j, 2)
+
+    def spoiled_at(index):
+        def spoiled(a):
+            out = D.apply(a)
+            if a is samples[index]:
+                out[1, 0] = bad
+            return out
+        return spoiled
+
+    for index in (0, 2):
+        got = kernel_vanishing_test(spoiled_at(index), samples)
+        assert got.values[index] == np.inf
+        assert (got.max_norm, got.witness_index) == (np.inf, index)
+        kept = [v for i, v in enumerate(got.values) if i != index]
+        want = kernel_values_one_by_one(D.apply, samples)
+        assert kept == [v for i, v in enumerate(want) if i != index]
+    every = kernel_vanishing_test(
+        lambda a: np.full((2, 2), bad, dtype=complex), samples
+    )
+    assert every.values == (np.inf,) * 4 and every.witness_index == 0
+
+
+def test_apply_with_cached_weights_matches_a_fresh_derivation():
+    # the path weights are kept per realized length: a derivation that has
+    # seen many elements of many lengths gives, bit for bit, what a fresh
+    # derivation gives on its first call
+    rng = np.random.default_rng(570)
+    for n in (1, 2, 3, 5):
+        for point in (Lambda(0.45 - 0.3j), Lambda(np.exp(0.7j)), Lambda(0)):
+            X = random_matrix(rng, n)
+            D = GenDerivation.from_commutator(point, X, n)
+            elems = [
+                random_element(n, rng, deg=int(rng.integers(0, 9)))
+                for _ in range(12)
+            ]
+            elems += [*generators(n)[1], monomial_elem(n, 1, n, 4)]
+            for a in elems + elems[::-1]:
+                fresh = GenDerivation.from_commutator(point, X, n)
+                assert D.apply(a).tobytes() == fresh.apply(a).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])

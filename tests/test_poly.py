@@ -17,7 +17,7 @@ from cyclealg.poly import (
     powers,
 )
 
-from oracles import poly_at
+from oracles import poly_at, trim_by_search
 
 
 def random_poly(rng, deg=8, scale=1.0):
@@ -296,3 +296,44 @@ def test_trim_threshold_is_inclusive():
     # interior small coefficients stay; only trailing ones go
     assert Poly([EPS_COEFF, 0.0, 1.0]).degree == 2
     assert _trim(np.zeros((2, 0)))[1].tolist() == [0, 0]
+
+
+def _same_trim(stack):
+    got, want = _trim(stack), trim_by_search(stack)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+    assert not got[0].flags.writeable and not got[1].flags.writeable
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3), (0,), (3, 0)])
+def test_trim_matches_the_search_bit_for_bit(lead):
+    # the dense fast path (every row's last slot passes) and the search
+    # agree on dense rows, monomials, trailing values at and below
+    # EPS_COEFF, signed zeros, L = 0 and an empty leading axis
+    rng = np.random.default_rng(33)
+    for L in (0, 1, 2, 7, 9):
+        dense = rng.normal(size=lead + (L, 2)) @ [1.0, 1j]
+        _same_trim(dense)
+        _same_trim(dense * 1e-12)  # every slot below the threshold
+        _same_trim(-0.0 * dense)  # signed zeros only
+        if not L or not np.prod(lead, dtype=int):
+            continue
+        mono = np.zeros(lead + (L,), dtype=complex)
+        mono[(0,) * len(lead) + (L - 1,)] = 2.5 - 1j
+        _same_trim(mono)
+        for tail in (EPS_COEFF, EPS_COEFF / 3, np.nextafter(EPS_COEFF, 1.0)):
+            edge = dense.copy()
+            edge[(0,) * len(lead) + (L - 1,)] = tail
+            _same_trim(edge)  # the fast path fails on one row only
+            edge[..., -1] = -tail
+            _same_trim(edge)
+        neg = dense.copy()
+        neg[..., 0] = complex(-0.0, -0.0)  # interior signed zeros stay
+        _same_trim(neg)
+        nan = dense.copy()
+        nan[..., -1] = np.nan  # a NaN slot fails the threshold
+        _same_trim(nan)
+    # a stack with no rows keeps width 0, whatever its row length
+    assert _trim(np.zeros((0, 5)))[0].shape == (0, 0)
+    assert _trim(np.zeros((3, 0, 5)))[0].shape == (3, 0, 0)
