@@ -20,8 +20,9 @@ and 6 on fixed seeded inputs:
 - ``cli._build_parser().parse_args`` on an ``inner-check`` command line
   (one cell, keyed ``any``: it does not depend on n; the parser is built
   once per process, so the cell times the parse alone),
-- the report encoder ``cli._dumps`` on that ``inner-check`` report and on
-  the ``reconstruct`` reports below (read back from the report file),
+- the report writer ``cli._emit`` on that ``inner-check`` report and on
+  the ``reconstruct`` reports below (read back from the report file; written
+  to the null device, so the cells time the encoding and one write),
 - the ``semisimple`` command through ``cli.main`` on ``zero(1)`` (report
   written to the null device), the fixed cost of one request (keyed
   ``n1``),
@@ -169,7 +170,7 @@ def measure(src: str) -> dict:
             ),
             "eval_rep": lambda: eval_rep(point, ab),
             "check_leibniz(trials=40)": lambda: check_leibniz(
-                D.apply, point, n, trials=40, seed=1, deg=DEG
+                D.apply, point, n, trials=40, seed=1
             ),
             "random_element(normalize=True)": lambda: random_element(
                 n, rng, deg=DEG, normalize=True
@@ -280,6 +281,7 @@ def measure(src: str) -> dict:
         }
         for name, fn in cases.items():
             out.setdefault(name, {})[f"n{n}"] = median_call(fn)
+    parser = cli._build_parser()
     with tempfile.TemporaryDirectory() as tmp:
         report_path = Path(tmp, "report.json")
         path = Path(tmp, "zero1.json")
@@ -301,8 +303,9 @@ def measure(src: str) -> dict:
                 raise RuntimeError(f"inner-check failed at n = {n}")
             doc = json.loads(path.read_text(encoding="utf-8"))
             report = json.loads(report_path.read_text(encoding="utf-8"))
+            null = parser.parse_args(argv + ["--output", os.devnull])
             cases = {
-                "encode(inner-check)": lambda: cli._dumps(report),
+                "encode(inner-check)": lambda: cli._emit(null, report),
                 "gen_derivation_from_json": lambda: gen_derivation_from_json(
                     doc
                 ),
@@ -345,11 +348,12 @@ def measure(src: str) -> dict:
                 raise RuntimeError(f"reconstruct failed at n = {n}")
             report = json.loads(report_path.read_text(encoding="utf-8"))
             argv += ["--output", os.devnull]
+            null = parser.parse_args(argv)
             out.setdefault("reconstruct", {})[f"n{n}"] = median_call(
                 lambda: cli.main(argv)
             )
             out.setdefault("encode(reconstruct)", {})[f"n{n}"] = median_call(
-                lambda: cli._dumps(report)
+                lambda: cli._emit(null, report)
             )
     return out
 

@@ -15,13 +15,11 @@ Commands
 Exit codes: 0 success, 1 negative verdict, 2 input error (an unwritable
 ``--output`` and a negative ``--deg-max`` included), 3 internal failure.
 Reports embed the resolved configuration and library version and are byte
-stable for a fixed seed and configuration.  One encoder, ``_dumps``, writes
-every JSON report, byte for byte as ``json.dumps(report, sort_keys=True,
-indent=2, allow_nan=False)``.  It dispatches on the exact type of each
-node, and writes a list of floats or of [re, im] float pairs (matrices,
-coefficient rows, residual columns) in one join, recognized from its
-first item; an empty entry list is written inline.  The argument parser
-is built on the first ``main`` call and reused by every later call in the
+stable for a fixed seed and configuration.  Every JSON report is one line,
+``json.dumps(report, sort_keys=True, allow_nan=False)``, the standard
+library's C encoder; ``python -m json.tool`` pretty-prints it.  A
+non-finite number that reaches a report exits 3.  The argument parser is
+built on the first ``main`` call and reused by every later call in the
 process.
 """
 
@@ -33,7 +31,6 @@ import functools
 import io
 import json
 import sys
-from itertools import chain
 
 import numpy as np
 
@@ -50,7 +47,7 @@ from .derivations import (
     kernel_vanishing_test,
     relation_residual,
 )
-from .errors import CycleAlgebraError, GridTooSmall, NotLocallyInner
+from .errors import CycleAlgebraError, NotLocallyInner
 from .poly import complex_from_json, int_from_json
 from .reconstruction import (
     boundary_field_from_json,
@@ -206,12 +203,7 @@ def _cmd_reconstruct(args) -> tuple[int, dict]:
             "tol_inner": exc.tol,
         }
     witness = reconstruct_witness(field, deg_max=args.deg_max)
-    try:
-        verify = verify_global_inner(D, witness)
-    except GridTooSmall as exc:
-        # a nonzero residual too long for the default grid: measure it on
-        # the smallest grid that resolves it
-        verify = verify_global_inner(D, witness, norm_grid=exc.needed)
+    verify = verify_global_inner(D, witness)
     verdict = "inner" if verify.ok else "verify_failed"
     return 0 if verify.ok else 1, {
         "verdict": verdict,
@@ -354,86 +346,6 @@ def _rows_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-_ESCAPE = json.encoder.encode_basestring_ascii
-
-
-def _float_list(items, nl: str) -> str | None:
-    """The body of a list of floats, or of [re, im] float pairs, or None.
-
-    The kind is read off the first item; the whole list is then checked by
-    type, so a list of anything else returns None without raising.
-    """
-    first = items[0]
-    kind = type(first)
-    if kind is float:
-        if set(map(type, items)) != {float}:
-            return None
-        body = ("," + nl).join(map(float.__repr__, items))
-    elif (kind is list or kind is tuple) and len(first) == 2:
-        if (
-            type(first[0]) is not float
-            or not set(map(type, items)) <= {list, tuple}
-            or set(map(len, items)) != {2}
-            or set(map(type, chain.from_iterable(items))) != {float}
-        ):
-            return None
-        flat = map(float.__repr__, chain.from_iterable(items))
-        pair = nl + "  "
-        body = (nl + "]," + nl + "[" + pair).join(
-            map(("," + pair).join, zip(flat, flat))
-        )
-        body = "[" + pair + body + nl + "]"
-    else:
-        return None
-    # the repr of a finite float has no "n"; "nan", "inf" and "-inf" do
-    return None if "n" in body else body
-
-
-def _dumps(obj, nl: str = "\n") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``.
-
-    Byte for byte, including its errors: a non-finite float raises
-    ``ValueError``.  ``nl`` is the newline and indentation of obj's depth.
-    The branches dispatch on the exact type, lists first, as reports are
-    mostly lists; an empty list is written inline.  Anything else (None,
-    booleans, subclasses such as numpy floats, a non-finite float, a key
-    that is not a string, a type JSON lacks) is handed to ``json.dumps``.
-    """
-    kind = type(obj)
-    if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        inner = nl + "  "
-        body = _float_list(obj, inner)
-        if body is None:
-            body = ("," + inner).join(
-                [
-                    "[]" if type(v) is list and not v else _dumps(v, inner)
-                    for v in obj
-                ]
-            )
-        return "[" + inner + body + nl + "]"
-    if kind is dict and set(map(type, obj)) <= {str}:
-        if not obj:
-            return "{}"
-        inner = nl + "  "
-        items = sorted(obj.items())
-        body = ("," + inner).join(
-            [f"{_ESCAPE(k)}: {_dumps(v, inner)}" for k, v in items]
-        )
-        return "{" + inner + body + nl + "}"
-    if kind is str:
-        return _ESCAPE(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    if kind is float:
-        text = float.__repr__(obj)
-        if "n" not in text:
-            return text
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    return text.replace("\n", nl)
-
-
 def _emit(args, report: dict) -> None:
     if args.format == "csv":
         if "rows" not in report:
@@ -442,7 +354,7 @@ def _emit(args, report: dict) -> None:
             )
         text = _rows_to_csv(report["rows"])
     else:
-        text = _dumps(report) + "\n"
+        text = json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
     if not args.output:
         sys.stdout.write(text)
         return

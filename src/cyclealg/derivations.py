@@ -245,11 +245,10 @@ def check_leibniz(
     n: int,
     trials: int = 200,
     seed: int = 0,
-    deg: int = 6,
 ) -> float:
     """Max Leibniz residual of D over random normalized element pairs.
 
-    Residual of a pair (a, b) is the spectral norm of
+    Residual of a pair (a, b) of degree-6 elements is the spectral norm of
     D(ab) - D(a) phi(b) - phi(a) D(b).  Pairs are normalized so entry
     coefficient mass is at most 1, keeping the float noise floor well under
     1e-12.  The trials residual matrices are decided in one
@@ -258,7 +257,7 @@ def check_leibniz(
     inf, so the result never passes a bound it did not meet.
     """
     rng = np.random.default_rng(seed)
-    draws = _random_elements(n, rng, 2 * trials, deg, normalize=True)
+    draws = _random_elements(n, rng, 2 * trials, 6, normalize=True)
     residuals = []
     for a, b in zip(draws[::2], draws[1::2]):
         ab = mul_elem(a, b)

@@ -124,15 +124,15 @@ def svd_grid_norms(a: CycleElement, grid: int) -> np.ndarray:
     return np.linalg.svd(np.moveaxis(values, 2, 0), compute_uv=False)[:, 0]
 
 
-def sampled_leibniz(D, point, n: int, trials: int, seed: int, deg: int = 6):
+def sampled_leibniz(D, point, n: int, trials: int, seed: int):
     """``check_leibniz`` one trial at a time: the draws, products and D
     calls of the library, and one ``np.linalg.norm(m, 2)`` per residual,
     folded into a running Python max from 0.0."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
-        a = random_element(n, rng, deg=deg, normalize=True)
-        b = random_element(n, rng, deg=deg, normalize=True)
+        a = random_element(n, rng, deg=6, normalize=True)
+        b = random_element(n, rng, deg=6, normalize=True)
         ab = mul_elem(a, b)
         resid = D(ab) - D(a) @ eval_rep(point, b) - eval_rep(point, a) @ D(b)
         worst = max(worst, float(np.linalg.norm(resid, 2)))

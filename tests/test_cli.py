@@ -10,8 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import cyclealg
 from cyclealg import __version__
@@ -23,7 +21,7 @@ from cyclealg.algebra import (
     random_element,
     zero,
 )
-from cyclealg.cli import _COMMANDS, _build_parser, _dumps, main
+from cyclealg.cli import _COMMANDS, _build_parser, main
 from cyclealg.derivations import F_point_derivation, GenDerivation
 from cyclealg.reconstruction import GlobalDerivation, solve_boundary_field
 from cyclealg.representations import DiagZero, Lambda
@@ -841,40 +839,6 @@ def test_negative_deg_max_rejected(tmp_path, capsys, command, doc):
     assert json.loads(err)["error"] == "deg-max must be >= 0"
 
 
-FLOATS = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
-    st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e308, -1e308, 0.1]),
-)
-LEAVES = st.one_of(
-    FLOATS,
-    st.integers(min_value=-(10**40), max_value=10**40),
-    st.booleans(),
-    st.none(),
-    st.text(),
-    st.sampled_from(['"', "\\", "\x00\n\t\x1f", "\u00e9\u221a\U0001f600"]),
-    st.lists(FLOATS),
-    st.lists(st.lists(FLOATS, min_size=2, max_size=2)),
-    st.lists(st.tuples(FLOATS, FLOATS)),
-)
-JSON_TREES = st.recursive(
-    LEAVES,
-    lambda kids: st.one_of(
-        st.lists(kids),
-        st.lists(kids).map(tuple),
-        st.dictionaries(st.text(), kids),
-    ),
-    max_leaves=25,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(JSON_TREES)
-def test_dumps_matches_json_dumps(obj):
-    expected = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    assert _dumps(obj) == expected
-
-
 def _report_docs():
     """(argv, input) of reports of every shape the commands write: kernel
     witness factor lists, a reconstructed witness, an approximate-identity
@@ -902,43 +866,45 @@ def _report_docs():
     return docs
 
 
-def test_dumps_matches_json_dumps_on_report_shapes(tmp_path, monkeypatch):
-    # the hypothesis trees hold at most 25 leaves; real reports hold long
-    # lists of elements, pairs, floats and empty entries
-    from cyclealg import cli
-
-    reports = []
-    monkeypatch.setattr(
-        cli, "_emit", lambda args, report: reports.append(report)
-    )
-    for index, (argv, doc) in enumerate(_report_docs()):
-        path = write(tmp_path, f"in{index}.json", doc)
-        assert main(argv + ["--input", path]) in (0, 1)
-    assert len(reports) == 8
-    assert len(reports[0]["pairs"]) > 100  # the kernel witness factors
-    for report in reports:
-        want = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
-        assert _dumps(report) == want
+@pytest.mark.parametrize("index", range(8))
+def test_every_report_shape_is_one_line_of_the_c_encoder(
+    tmp_path, capsys, index
+):
+    # real reports hold long lists of elements, pairs, floats and empty
+    # entries; each is written as json.dumps writes it, on one line
+    argv, doc = _report_docs()[index]
+    path = write(tmp_path, "in.json", doc)
+    code, out, err = run(capsys, argv + ["--input", path])
+    assert code in (0, 1) and err == ""
+    report = json.loads(out)
+    want = json.dumps(report, sort_keys=True, allow_nan=False)
+    assert out == want + "\n"
+    if index == 0:
+        assert len(report["pairs"]) > 100  # the kernel witness factors
 
 
 @pytest.mark.parametrize(
-    "obj",
-    [
-        float("nan"),
-        float("inf"),
-        np.float64("-inf"),
-        [0.5, float("nan")],
-        [[0.5, 1.0], [float("-inf"), 0.0]],
-        {"a": [1.0, 2], "b": {"c": float("inf")}},
-        ("x", [float("nan"), float("inf")]),
-    ],
+    "value",
+    [float("nan"), float("inf"), np.float64("-inf"), [0.5, [float("nan")]]],
 )
-def test_dumps_rejects_non_finite_floats_as_json_dumps_does(obj):
-    with pytest.raises(ValueError) as expected:
-        json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
-    with pytest.raises(ValueError) as got:
-        _dumps(obj)
-    assert str(got.value) == str(expected.value)
+def test_non_finite_number_in_a_report_exits_3(
+    tmp_path, capsys, monkeypatch, value
+):
+    # a NaN or inf reaching a report is an internal failure: no report is
+    # written, to stdout or to --output
+    from cyclealg import cli
+
+    monkeypatch.setitem(
+        cli._COMMANDS, "semisimple", lambda args: (0, {"max_abs": value})
+    )
+    code, out, err = run(capsys, ["semisimple"])
+    assert (code, out) == (3, "")
+    error = json.loads(err)
+    assert error["exit_code"] == 3
+    assert error["error"].startswith("internal error: Out of range float")
+    target = tmp_path / "report.json"
+    assert main(["semisimple", "--output", str(target)]) == 3
+    assert not target.exists()
 
 
 def test_parser_is_built_once():

@@ -432,18 +432,19 @@ def test_verify_rejects_witness_off_by_one_vertex():
 
 
 def test_verify_refuses_a_grid_that_aliases_a_nonzero_residual():
-    # 0.5 (w^64 - 1) at (1, 1) vanishes at all 512 grid points at n = 8, so
-    # a grid norm of its residual would read 0.0 and pass the wrong witness
+    # 0.5 (w^64 - 1) at (1, 1) vanishes at all 512 default grid points at
+    # n = 8, so a norm on that grid would read 0.0 and pass the wrong
+    # witness; the verification measures on the n * 65 points it needs
     rng = np.random.default_rng(74)
     n = 8
     X0 = random_element(n, rng, deg=4)
     D = GlobalDerivation.from_commutator(X0)
     bump = (monomial_elem(n, 1, 1, 64) - monomial_elem(n, 1, 1, 0)) * 0.5
-    with pytest.raises(GridTooSmall) as info:
-        verify_global_inner(D, X0 + bump)
-    assert (info.value.m, info.value.needed) == (512, n * 65)
-    report = verify_global_inner(D, X0 + bump, norm_grid=n * 65)
+    report = verify_global_inner(D, X0 + bump)
+    assert report.norm_grid == n * 65
     assert not report.ok and report.max_residual > 0.99
+    with pytest.raises(ValueError):
+        verify_global_inner(D, X0 + bump, norm_grid=0)
     assert verify_global_inner(D, X0 + bump, norm_grid=1024).max_residual == (
         pytest.approx(1.0)
     )
