@@ -13,7 +13,9 @@ The inputs are written to a temporary directory and named by relative
 paths, so every checkout sees the same command lines.
 
 ``--compare A B`` lists each request whose record differs between two such
-files, with the fields that differ, and exits 1 if there is one.
+files, with the fields that differ, and exits 1 if there is one.  Where
+both stdouts are JSON reports, ``stdout`` is followed by the top-level
+report keys whose values differ.
 """
 
 from __future__ import annotations
@@ -79,6 +81,20 @@ def record(src: str) -> dict:
     return out
 
 
+def _stdout_keys(a: str, b: str) -> str:
+    """``stdout``, with the top-level keys two JSON reports differ in."""
+    try:
+        x, y = json.loads(a), json.loads(b)
+    except json.JSONDecodeError:
+        return "stdout"
+    missing = object()
+    keys = sorted(
+        k for k in x.keys() | y.keys()
+        if x.get(k, missing) != y.get(k, missing)
+    )
+    return f"stdout ({', '.join(keys) or 'same JSON'})"
+
+
 def compare(a: dict, b: dict) -> list[str]:
     """One line per request whose record differs, naming the fields."""
     lines = []
@@ -87,6 +103,10 @@ def compare(a: dict, b: dict) -> list[str]:
             lines.append(f"{key}: only in {'B' if key in b else 'A'}")
             continue
         fields = [f for f in FIELDS if a[key][f] != b[key][f]]
+        if "stdout" in fields:
+            fields[fields.index("stdout")] = _stdout_keys(
+                a[key]["stdout"], b[key]["stdout"]
+            )
         if fields:
             lines.append(f"{key}: {', '.join(fields)}")
     return lines

@@ -132,6 +132,9 @@ class CycleElement:
         return NotImplemented
 
     def __eq__(self, other) -> bool:
+        """Equal when over the same n every coefficient differs by at most
+        ``config.EPS_COEFF`` (1e-9) in modulus: a tolerance, not exact
+        equality."""
         if not isinstance(other, CycleElement):
             return NotImplemented
         if self.n != other.n:

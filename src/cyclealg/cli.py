@@ -12,10 +12,17 @@ Commands
   semisimple      zero/nonzero certificate for an element
   kernel-witness  decompose a kernel element at a scalar point into products
 
-Exit codes: 0 success, 1 negative verdict, 2 input error (an unwritable
-``--output`` and a negative ``--deg-max`` included), 3 internal failure.
-Reports embed the resolved configuration and library version and are byte
-stable for a fixed seed and configuration.  Every JSON report is one line,
+``_COMMANDS`` lists the options each command reads, with the default it
+uses.  Each command's subparser holds only those, so any other option is
+an argparse usage error (exit 2), and options go after the command.
+A report's ``config`` is the command and every option it read except
+``--input`` and ``--output``, each with the value in force.
+
+Exit codes: 0 success, 1 negative verdict, 2 input error (an option the
+command does not read, an unwritable ``--output`` and a negative
+``--deg-max`` included), 3 internal failure.  Reports embed that
+configuration and the library version and are byte stable for a fixed
+seed and configuration.  Every JSON report is one line,
 ``json.dumps(report, sort_keys=True, allow_nan=False)``, the standard
 library's C encoder; ``python -m json.tool`` pretty-prints it.  A
 non-finite number that reaches a report exits 3.  The argument parser is
@@ -90,18 +97,6 @@ def _load_doc(path: str | None) -> dict:
     if not isinstance(doc, dict):
         raise _InputError("input must be a JSON object")
     return doc
-
-
-def _resolved_config(args) -> dict:
-    return {
-        "command": args.command,
-        "n": args.n,
-        "deg_max": args.deg_max if args.deg_max is not None else config.DEG_MAX,
-        "grid": args.grid,
-        "tol_inner": args.tol_inner,
-        "seed": args.seed,
-        "format": args.format,
-    }
 
 
 def _check_n(args, n: int):
@@ -193,7 +188,7 @@ def _cmd_reconstruct(args) -> tuple[int, dict]:
     D = global_derivation_from_json(doc)
     _check_n(args, D.n)
     try:
-        field = solve_boundary_field(D, m=args.grid, tol=args.tol_inner)
+        field = solve_boundary_field(D, tol=args.tol_inner)
     except NotLocallyInner as exc:
         return 1, {
             "verdict": "not_locally_inner",
@@ -213,17 +208,14 @@ def _cmd_reconstruct(args) -> tuple[int, dict]:
         "field_residual": field.max_residual,
         "verify_residual": verify.max_residual,
         "verify_equations": verify.equations,
+        "verify_grid": verify.norm_grid,
     }
 
 
 def _cmd_suite(args) -> tuple[int, dict]:
     from .suite import SuiteConfig, run_suite, summarize  # only this command
 
-    cfg = SuiteConfig(
-        seed=args.seed,
-        tol_inner=args.tol_inner,
-        grid=args.grid or config.NORM_GRID,
-    )
+    cfg = SuiteConfig(seed=args.seed, tol_inner=args.tol_inner, grid=args.grid)
     rows = run_suite(cfg)
     summary = summarize(rows)
     return (0 if summary["ok"] else 1), {
@@ -248,7 +240,7 @@ def _cmd_approx_identity(args) -> tuple[int, dict]:
     else:
         elems = canonical_kernel_elements(n, lam)
     _, report = boundary_approx_identity(
-        lam, k_values, n, kernel_elems=elems, norm_grid=args.grid or 4099
+        lam, k_values, n, kernel_elems=elems, norm_grid=args.grid
     )
     return (0 if report["monotone_and_bounded"] else 1), report
 
@@ -295,14 +287,52 @@ def _cmd_kernel_witness(args) -> tuple[int, dict]:
     return (0 if result.success else 1), report
 
 
+# How each option is parsed.
+_OPTIONS = {
+    "n": {"type": int},
+    "deg_max": {"type": int},
+    "grid": {"type": int},
+    "tol_inner": {"type": float},
+    "seed": {"type": int},
+    "split": {"action": "store_true"},
+    "format": {"choices": ("json", "csv")},
+    "input": {},
+    "output": {},
+}
+# Bounds on option values; a value outside one exits 2.
+_CHECKS = {
+    "tol_inner": (
+        lambda v: 0 < v < np.inf, "tol-inner must be positive and finite"
+    ),
+    "grid": (lambda v: v >= 1, "grid must be >= 1"),
+    "deg_max": (lambda v: v >= 0, "deg-max must be >= 0"),
+}
+
+# Each command: its handler and the options it reads, with their defaults.
 _COMMANDS = {
-    "eval": _cmd_eval,
-    "inner-check": _cmd_inner_check,
-    "reconstruct": _cmd_reconstruct,
-    "suite": _cmd_suite,
-    "approx-identity": _cmd_approx_identity,
-    "semisimple": _cmd_semisimple,
-    "kernel-witness": _cmd_kernel_witness,
+    "eval": (_cmd_eval, {"n": None, "input": None, "output": None}),
+    "inner-check": (_cmd_inner_check, {
+        "n": None, "tol_inner": config.TOL_INNER, "seed": 0, "split": False,
+        "input": None, "output": None,
+    }),
+    "reconstruct": (_cmd_reconstruct, {
+        "n": None, "deg_max": config.DEG_MAX, "tol_inner": config.TOL_INNER,
+        "input": None, "output": None,
+    }),
+    "suite": (_cmd_suite, {
+        "grid": config.NORM_GRID, "tol_inner": config.TOL_INNER, "seed": 0,
+        "format": "json", "output": None,
+    }),
+    "approx-identity": (_cmd_approx_identity, {
+        "n": None, "grid": 4099, "format": "json", "input": None,
+        "output": None,
+    }),
+    "semisimple": (
+        _cmd_semisimple, {"n": None, "input": None, "output": None}
+    ),
+    "kernel-witness": (
+        _cmd_kernel_witness, {"n": None, "input": None, "output": None}
+    ),
 }
 
 
@@ -313,19 +343,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="cycle function algebras: evaluation, derivations, "
         "reconstruction",
     )
-    parser.add_argument("command", choices=list(_COMMANDS))
-    parser.add_argument("--n", type=int, default=None)
-    parser.add_argument("--deg-max", dest="deg_max", type=int, default=None)
-    parser.add_argument("--grid", type=int, default=None)
-    parser.add_argument(
-        "--tol-inner", dest="tol_inner", type=float,
-        default=config.TOL_INNER,
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--input", type=str, default=None)
-    parser.add_argument("--output", type=str, default=None)
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--split", action="store_true")  # inner-check only
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (_, defaults) in _COMMANDS.items():
+        sub = commands.add_parser(name)
+        for option, default in defaults.items():
+            sub.add_argument(
+                "--" + option.replace("_", "-"), default=default,
+                **_OPTIONS[option],
+            )
     return parser
 
 
@@ -347,11 +372,7 @@ def _rows_to_csv(rows: list[dict]) -> str:
 
 
 def _emit(args, report: dict) -> None:
-    if args.format == "csv":
-        if "rows" not in report:
-            raise _InputError(
-                f"csv output is not available for {args.command}"
-            )
+    if getattr(args, "format", "json") == "csv":
         text = _rows_to_csv(report["rows"])
     else:
         text = json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
@@ -366,18 +387,13 @@ def _emit(args, report: dict) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.split and args.command != "inner-check":
-        parser.error("unrecognized arguments: --split")
-    if not 0 < args.tol_inner < np.inf:
-        return _fail(2, "tol-inner must be positive and finite")
-    if args.grid is not None and args.grid < 1:
-        return _fail(2, "grid must be >= 1")
-    if args.deg_max is not None and args.deg_max < 0:
-        return _fail(2, "deg-max must be >= 0")
+    args = _build_parser().parse_args(argv)
+    used = vars(args)
+    for option, (ok, message) in _CHECKS.items():
+        if option in used and not ok(used[option]):
+            return _fail(2, message)
     try:
-        code, payload = _COMMANDS[args.command](args)
+        code, payload = _COMMANDS[args.command][0](args)
     except _InputError as exc:
         return _fail(2, str(exc))
     except NotLocallyInner as exc:
@@ -388,7 +404,9 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(3, f"internal error: {type(exc).__name__}: {exc}")
     report = {
         "version": __version__,
-        "config": _resolved_config(args),
+        "config": {
+            k: v for k, v in used.items() if k not in ("input", "output")
+        },
         **payload,
     }
     try:

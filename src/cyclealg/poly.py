@@ -150,6 +150,9 @@ class Poly:
         return result
 
     def __eq__(self, other) -> bool:
+        """Equal when every coefficient differs by at most
+        ``config.EPS_COEFF`` (1e-9) in modulus: a tolerance, not exact
+        equality."""
         if not isinstance(other, Poly):
             return NotImplemented
         a, b = self.coeffs, other.coeffs

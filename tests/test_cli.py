@@ -241,6 +241,27 @@ def test_inner_check_names_the_broken_relation(tmp_path, capsys):
     assert report["leibniz_relation"] == "Z_1 e_0 = Z_1"
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+@pytest.mark.parametrize(
+    "lam", [0.0, 0.4 + 0.3j, 1.0, np.exp(0.7j)],
+    ids=["center", "interior", "one", "boundary"],
+)
+def test_leibniz_gate_sits_at_one_in_a_million(tmp_path, capsys, n, lam):
+    # commutator data with t added to D(e_0)[0, 0] breaks e_0 e_0 = e_0 (or
+    # e_0 Z_0 = Z_0 on the boundary) by exactly t: just under the 1e-6 gate
+    # it is classified, just over it the verdict is indeterminate
+    doc = inner_data(n=n, lam=lam)
+    for t, gated in ((5e-7, False), (2e-6, True)):
+        bumped = json.loads(json.dumps(doc))
+        bumped["values_e"][0][0][0] += t
+        path = write(tmp_path, "in.json", bumped)
+        _, out, _ = run(capsys, ["inner-check", "--input", path])
+        report = json.loads(out)
+        assert report["leibniz_residual"] == pytest.approx(t, rel=1e-9)
+        assert report["leibniz_relation"] in ("e_0 e_0 = e_0", "e_0 Z_0 = Z_0")
+        assert (report["verdict"] == "indeterminate") == gated
+
+
 def test_inner_check_split_at_center(tmp_path, capsys):
     rng = np.random.default_rng(2)
     X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -295,7 +316,7 @@ def test_reconstruct_from_derivation(tmp_path, capsys):
     doc = GlobalDerivation.from_commutator(gen_Z(2, 1)).to_json()
     path = write(tmp_path, "in.json", doc)
     code, out, _ = run(
-        capsys, ["reconstruct", "--input", path, "--grid", "32", "--deg-max", "8"]
+        capsys, ["reconstruct", "--input", path, "--deg-max", "8"]
     )
     assert code == 0
     report = json.loads(out)
@@ -307,29 +328,9 @@ def test_reconstruct_from_derivation(tmp_path, capsys):
 def test_reconstruct_rejects_non_derivation(tmp_path, capsys):
     doc = GlobalDerivation(1, (zero(1),), (identity(1),)).to_json()
     path = write(tmp_path, "in.json", doc)
-    code, out, _ = run(capsys, ["reconstruct", "--input", path, "--grid", "16"])
+    code, out, _ = run(capsys, ["reconstruct", "--input", path])
     assert code == 1
     assert json.loads(out)["verdict"] == "not_locally_inner"
-
-
-def test_reconstruct_grid_too_small_is_input_error(tmp_path, capsys):
-    # inner data of entry degree 9 over n = 2 needs 20 grid points; on 16 it
-    # aliases, so the command must refuse it as input instead of reporting
-    # a failed verification
-    rng = np.random.default_rng(0)
-    D = GlobalDerivation.from_commutator(random_element(2, rng, deg=8))
-    needed = 2 * (D.value_degree + 1)
-    assert needed > 16
-    path = write(tmp_path, "in.json", D.to_json())
-    code, out, err = run(capsys, ["reconstruct", "--input", path, "--grid", "16"])
-    assert code == 2
-    assert out == ""
-    assert "GridTooSmall" in err and f"{needed} points" in err
-    code, out, _ = run(
-        capsys, ["reconstruct", "--input", path, "--grid", str(needed)]
-    )
-    assert code == 0
-    assert json.loads(out)["verdict"] == "inner"
 
 
 def test_reconstruct_degree_over_cap_is_degree_overflow(tmp_path, capsys):
@@ -354,7 +355,8 @@ def test_reconstruct_verifies_long_residual_on_resolving_grid(
 ):
     # 0.5 (w^64 - 1) at (1, 1) vanishes at all 512 default verification
     # points at n = 8; a witness off by it must read verify_failed, neither
-    # pass nor exit as an input error
+    # pass nor exit as an input error, and name the 520-point grid that
+    # resolves it
     import cyclealg.cli as cli
 
     rng = np.random.default_rng(74)
@@ -371,6 +373,7 @@ def test_reconstruct_verifies_long_residual_on_resolving_grid(
     report = json.loads(out)
     assert report["verdict"] == "verify_failed"
     assert report["verify_residual"] > 0.99
+    assert report["verify_grid"] == n * 65
 
 
 def test_reconstruct_from_field_payload(tmp_path, capsys):
@@ -382,23 +385,22 @@ def test_reconstruct_from_field_payload(tmp_path, capsys):
     assert json.loads(out)["source"] == "field"
 
 
-def test_reconstruct_verifies_generator_equations(tmp_path, capsys):
-    # the verification is the 2n generator equations, so it reports their
-    # count and no longer depends on --seed
+@pytest.mark.parametrize("n", [2, 8])
+def test_reconstruct_verifies_generator_equations(tmp_path, capsys, n):
+    # the verification is the 2n generator equations on the default grid:
+    # the report counts them and names that grid, 512 points for data of
+    # the benchmark's shape
     rng = np.random.default_rng(3)
-    doc = GlobalDerivation.from_commutator(random_element(3, rng, deg=3))
+    doc = GlobalDerivation.from_commutator(random_element(n, rng, deg=8))
     path = write(tmp_path, "in.json", doc.to_json())
-    reports = []
-    for seed in ("0", "9"):
-        code, out, _ = run(
-            capsys, ["reconstruct", "--input", path, "--seed", seed]
-        )
-        assert code == 0
-        report = json.loads(out)
-        assert report["verify_equations"] == 6
-        del report["config"]
-        reports.append(report)
-    assert reports[0] == reports[1]
+    code, out, _ = run(
+        capsys, ["reconstruct", "--deg-max", "12", "--input", path]
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "inner"
+    assert report["verify_equations"] == 2 * n
+    assert report["verify_grid"] == 512
 
 
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
@@ -481,20 +483,16 @@ def test_malformed_derivation_and_field_json_is_input_error(
     assert json.loads(err)["exit_code"] == 2
 
 
-@pytest.mark.parametrize(
-    "command, doc",
-    [
-        ("approx-identity", {"lambda": [1.0, 0.0], "n": 1, "k_values": [2]}),
-        ("suite", {}),
-        ("reconstruct", _arrow_commutator().to_json()),
-    ],
-)
+@pytest.mark.parametrize("command", ["approx-identity", "suite"])
 @pytest.mark.parametrize("grid", ["0", "-4"])
-def test_grid_below_one_rejected(tmp_path, capsys, command, doc, grid):
+def test_grid_below_one_rejected(tmp_path, capsys, command, grid):
     # approx-identity and suite took a zero grid for the default while the
     # report's config still said 0
-    path = write(tmp_path, "in.json", doc)
-    code, out, err = run(capsys, [command, "--grid", grid, "--input", path])
+    argv = [command, "--grid", grid]
+    if command == "approx-identity":
+        doc = {"lambda": [1.0, 0.0], "n": 1, "k_values": [2]}
+        argv += ["--input", write(tmp_path, "in.json", doc)]
+    code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert "grid" in json.loads(err)["error"]
@@ -663,18 +661,16 @@ def test_semisimple_verdicts(tmp_path, capsys):
     assert report["verdict"] == "nonzero" and "witness" in report
 
 
-def test_semisimple_grid_ignores_deg_max(tmp_path, capsys):
-    # the grid n (d + 2) is sized by the element's own degree d; --deg-max
-    # is parsed, validated and echoed, and changes nothing else
-    for name, elem in (("z", zero(2)), ("nz", monomial_elem(3, 1, 3, 1))):
+def test_semisimple_grid_follows_the_element(tmp_path, capsys):
+    # the grid n (d + 2) is sized by the element's own top entry degree d
+    # (0 for zero); there is no option to size it
+    for name, elem, points in (
+        ("z", zero(2), 4), ("nz", monomial_elem(3, 1, 3, 1), 9),
+    ):
         path = write(tmp_path, f"{name}.json", elem.to_json())
-        reports = [
-            json.loads(run(capsys, ["semisimple", *extra, "--input", path])[1])
-            for extra in ([], ["--deg-max", "40"])
-        ]
-        assert reports[1]["config"].pop("deg_max") == 40
-        reports[0]["config"].pop("deg_max")
-        assert reports[0] == reports[1]
+        report = json.loads(run(capsys, ["semisimple", "--input", path])[1])
+        assert report["points"] == points
+        assert report["config"] == {"command": "semisimple", "n": None}
 
 
 # ----------------------------------------------------------------------
@@ -788,16 +784,6 @@ def test_mismatched_n_flag(tmp_path, capsys):
     assert code == 2 and "does not match" in err
 
 
-def test_csv_rejected_for_scalar_reports(tmp_path, capsys):
-    doc = {
-        "element": gen_e(2, 1).to_json(),
-        "point": {"kind": "lambda", "re": 0.0, "im": 0.0},
-    }
-    path = write(tmp_path, "a.json", doc)
-    code, _, err = run(capsys, ["eval", "--format", "csv", "--input", path])
-    assert code == 2 and "csv" in err
-
-
 def test_output_flag_writes_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, out, _ = run(capsys, ["suite", "--output", str(out_path)])
@@ -822,18 +808,11 @@ def test_unwritable_output_is_an_input_error(tmp_path, capsys):
     assert error["error"].startswith("cannot write output: ")
 
 
-@pytest.mark.parametrize(
-    "command, doc",
-    [
-        ("reconstruct", _arrow_commutator().to_json()),
-        ("semisimple", zero(2).to_json()),
-        ("suite", {}),
-    ],
-)
-def test_negative_deg_max_rejected(tmp_path, capsys, command, doc):
-    # reconstruct blamed the grid, semisimple ignored the flag
-    path = write(tmp_path, "in.json", doc)
-    code, out, err = run(capsys, [command, "--deg-max", "-3", "--input", path])
+def test_negative_deg_max_rejected(tmp_path, capsys):
+    # reconstruct blamed the grid
+    path = write(tmp_path, "in.json", _arrow_commutator().to_json())
+    argv = ["reconstruct", "--deg-max", "-3", "--input", path]
+    code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"] == "deg-max must be >= 0"
@@ -895,7 +874,8 @@ def test_non_finite_number_in_a_report_exits_3(
     from cyclealg import cli
 
     monkeypatch.setitem(
-        cli._COMMANDS, "semisimple", lambda args: (0, {"max_abs": value})
+        cli._COMMANDS, "semisimple",
+        (lambda args: (0, {"max_abs": value}), cli._COMMANDS["semisimple"][1]),
     )
     code, out, err = run(capsys, ["semisimple"])
     assert (code, out) == (3, "")
@@ -942,42 +922,88 @@ def test_nonpositive_tolerance_rejected(capsys):
     assert code == 2
 
 
-SHARED_OPTIONS = [
-    "--n", "2", "--deg-max", "5", "--grid", "8", "--tol-inner", "1e-6",
-    "--seed", "3", "--input", "in.json", "--output", "out.json",
-    "--format", "csv",
-]
+# The options each command reads, written out here and not taken from cli:
+# a command accepts exactly these, and every other option is a usage error.
+READS = {
+    "eval": {"n", "input", "output"},
+    "inner-check": {"n", "tol-inner", "seed", "split", "input", "output"},
+    "reconstruct": {"n", "deg-max", "tol-inner", "input", "output"},
+    "suite": {"grid", "tol-inner", "seed", "format", "output"},
+    "approx-identity": {"n", "grid", "format", "input", "output"},
+    "semisimple": {"n", "input", "output"},
+    "kernel-witness": {"n", "input", "output"},
+}
+# the command line of each value option, and the value config echoes
+OPTION_VALUES = {
+    "n": (["2"], 2),
+    "deg-max": (["12"], 12),
+    "grid": (["64"], 64),
+    "tol-inner": (["1e-6"], 1e-6),
+    "seed": (["3"], 3),
+    "split": ([], True),
+    "format": (["json"], "json"),
+}
 
 
-@pytest.mark.parametrize("command", list(_COMMANDS))
-@pytest.mark.parametrize("before", [False, True])
-def test_every_command_takes_the_shared_options(command, before):
-    argv = SHARED_OPTIONS + [command] if before else [command] + SHARED_OPTIONS
-    args = _build_parser().parse_args(argv)
-    assert vars(args) == {
-        "command": command, "n": 2, "deg_max": 5, "grid": 8,
-        "tol_inner": 1e-6, "seed": 3, "input": "in.json",
-        "output": "out.json", "format": "csv", "split": False,
-    }
+def _command_input(command):
+    """A valid n = 2 input document for the command, None for suite."""
+    return {
+        "eval": {
+            "element": gen_Z(2, 1).to_json(),
+            "point": {"kind": "lambda", "re": 0.5, "im": 0.0},
+        },
+        "inner-check": inner_data(n=2),
+        "reconstruct": _arrow_commutator().to_json(),
+        "approx-identity": {"lambda": [1.0, 0.0], "n": 2, "k_values": [4]},
+        "semisimple": zero(2).to_json(),
+        "kernel-witness": {
+            "point": {"kind": "diag0", "i": 1},
+            "element": monomial_elem(2, 1, 2, 0).to_json(),
+        },
+    }.get(command)
+
+
+@pytest.mark.parametrize("option", [*OPTION_VALUES, "input", "output"])
+@pytest.mark.parametrize("command", list(READS))
+def test_a_command_accepts_exactly_the_options_it_reads(
+    tmp_path, capsys, command, option
+):
+    # an option a command does not read exits 2 with no report; one it
+    # reads is echoed in config, which holds every non-file option it reads
+    target = tmp_path / "out.json"
+    argv = [command, "--output", str(target)]
+    doc = _command_input(command)
+    if doc is not None or option == "input":
+        argv += ["--input", write(tmp_path, "in.json", doc or {})]
+    if option in OPTION_VALUES:
+        argv += [f"--{option}", *OPTION_VALUES[option][0]]
+    if option not in READS[command]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and not target.exists()
+        assert f"unrecognized arguments: --{option}" in err
+        return
+    assert main(argv) in (0, 1)
+    config = json.loads(target.read_text())["config"]
+    echoed = READS[command] - {"input", "output"}
+    assert config.keys() == {"command", *(o.replace("-", "_") for o in echoed)}
+    assert config["command"] == command
+    if option in OPTION_VALUES:
+        assert config[option.replace("-", "_")] == OPTION_VALUES[option][1]
 
 
 @pytest.mark.parametrize(
     "argv",
-    [["mystery"], [], ["--seed", "1"]]
-    + [[c, "--split"] for c in _COMMANDS if c != "inner-check"],
+    [["mystery"], [], ["--seed", "1"], ["--seed", "3", "suite"],
+     ["--split", "inner-check"]],
 )
 def test_bad_command_lines_exit_2(capsys, argv):
+    # options go after the command
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    if "--split" in argv:
-        assert "unrecognized arguments: --split" in err
-
-
-def test_split_is_an_inner_check_option():
-    args = _build_parser().parse_args(["--split", "inner-check"])
-    assert args.split and args.command == "inner-check"
 
 
 def test_cli_import_leaves_suite_unloaded():
